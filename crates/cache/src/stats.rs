@@ -1,5 +1,6 @@
 //! Cache-side statistics: hit ratio, aborts, database load generated.
 
+use crate::stripe::CacheAligned;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotone counters describing one cache server's behaviour.
@@ -9,13 +10,21 @@ pub struct CacheStats {
     hits: AtomicU64,
     misses: AtomicU64,
     retries: AtomicU64,
-    invalidations_applied: AtomicU64,
-    invalidations_ignored: AtomicU64,
     evictions: AtomicU64,
     txns_committed: AtomicU64,
     txns_aborted: AtomicU64,
     fastpath_txns: AtomicU64,
     promoted_txns: AtomicU64,
+    /// Written by the invalidation apply loop, on its own cache lines so
+    /// an apply never invalidates the line client reads count on.
+    apply: CacheAligned<ApplyCounters>,
+}
+
+/// The invalidation apply loop's counters.
+#[derive(Debug, Default)]
+struct ApplyCounters {
+    applied: AtomicU64,
+    ignored: AtomicU64,
 }
 
 /// A point-in-time copy of [`CacheStats`].
@@ -129,12 +138,12 @@ impl CacheStats {
 
     /// Records an invalidation that evicted an entry.
     pub fn record_invalidation_applied(&self) {
-        self.invalidations_applied.fetch_add(1, Ordering::Relaxed);
+        self.apply.applied.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records an invalidation that had no effect.
     pub fn record_invalidation_ignored(&self) {
-        self.invalidations_ignored.fetch_add(1, Ordering::Relaxed);
+        self.apply.ignored.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a strategy-driven eviction.
@@ -169,8 +178,8 @@ impl CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            invalidations_applied: self.invalidations_applied.load(Ordering::Relaxed),
-            invalidations_ignored: self.invalidations_ignored.load(Ordering::Relaxed),
+            invalidations_applied: self.apply.applied.load(Ordering::Relaxed),
+            invalidations_ignored: self.apply.ignored.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             txns_committed: self.txns_committed.load(Ordering::Relaxed),
             txns_aborted: self.txns_aborted.load(Ordering::Relaxed),

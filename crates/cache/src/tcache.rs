@@ -33,6 +33,7 @@ use crate::lifecycle::{
 };
 use crate::stats::{CacheStats, CacheStatsSnapshot};
 use crate::storage::{CacheReadPath, ShardedCacheStorage};
+use crate::stripe::CacheAligned;
 use crate::txn_record::{FastTxnRecord, ShardedTransactionTable};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -97,8 +98,10 @@ pub struct EdgeCache {
     state_tag: AtomicU8,
     /// Highest invalidation sequence number applied (0 = none yet).
     /// Invalidations for one cache are applied by a single delivery loop on
-    /// both planes, so plain load/store suffices.
-    last_seq: AtomicU64,
+    /// both planes, so plain load/store suffices. It has its own cache
+    /// lines: the apply loop stores it on every invalidation, and sharing a
+    /// line with `state_tag` would miss that line in every client read.
+    last_seq: CacheAligned<AtomicU64>,
     lifecycle_stats: LifecycleStats,
 }
 
@@ -135,7 +138,7 @@ impl EdgeCache {
                 policy: RecoveryPolicy::None,
             }),
             state_tag: AtomicU8::new(TAG_HEALTHY),
-            last_seq: AtomicU64::new(0),
+            last_seq: CacheAligned(AtomicU64::new(0)),
             lifecycle_stats: LifecycleStats::default(),
         }
     }

@@ -403,10 +403,11 @@ impl RetryPolicy {
 }
 
 /// Builds the per-cache invalidation upcall sink that feeds `sender`'s
-/// pipe from the database's commit path ([`DeliveryMode::Modeled`]): every
-/// invalidation of a published batch is enqueued individually, and the
-/// pipe's overflow / stall behaviour is reported back so the publisher can
-/// attribute what the commit paid. A batch published while `severed` is
+/// pipe from the database's commit path ([`DeliveryMode::Modeled`]): a
+/// published batch is enqueued in one [`PipeSender::send_batch`] call — one
+/// pipe lock and at most one wake of the cache's reactor task per commit —
+/// and the pipe's overflow / stall behaviour is reported back so the
+/// publisher can attribute what the commit paid. A batch published while `severed` is
 /// set (the cache crashed or partitioned) is retried per `retry` — the
 /// publisher waits out short disconnects — and discarded once the budget
 /// runs out, so a downed cache can never block the commit path. Used by
@@ -440,25 +441,14 @@ pub(crate) fn modeled_delivery_sink(
                 return report;
             }
         }
-        for &inv in batch.iter() {
-            // Try the non-blocking path first so a Block pipe's
-            // backpressure is visible as a stall before we wait it out.
-            let outcome = match sender.try_send(inv) {
-                Ok(outcome) => Some(outcome),
-                Err(tcache_net::pipe::PipeSendError::Full(inv)) => {
-                    report.stalled = true;
-                    sender.send(inv).ok()
-                }
-                Err(tcache_net::pipe::PipeSendError::Disconnected(_)) => None,
-            };
-            if let Some(outcome) = outcome {
-                if outcome.was_enqueued() {
-                    report.enqueued += 1;
-                }
-                if outcome.lost_a_message() {
-                    report.overflowed += 1;
-                }
-            }
+        // One call for the whole batch: one pipe lock and at most one
+        // reactor wake per commit. A disconnected pipe means the cache's
+        // task is gone (shutdown); the channel is best-effort, so the batch
+        // is dropped unreported.
+        if let Ok(outcome) = sender.send_batch(batch.iter().copied()) {
+            report.enqueued = outcome.enqueued;
+            report.overflowed = outcome.lost;
+            report.stalled = outcome.stalled;
         }
         report
     })
@@ -537,6 +527,148 @@ mod tests {
         assert_eq!(report.abandoned, 0);
         assert_eq!(report.enqueued, 1, "the healed link carried the batch");
         assert!(rx.try_recv().is_some());
+    }
+
+    fn three_invalidations() -> tcache_db::InvalidationBatch {
+        tcache_db::InvalidationBatch::new(
+            (1..=3)
+                .map(|o| {
+                    Invalidation::new(
+                        tcache_types::ObjectId(o),
+                        tcache_types::Version(2),
+                        tcache_types::TxnId(3),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// The fan-out's cost pinned down: one 3-invalidation commit to N
+    /// caches whose apply tasks are parked takes exactly one enqueue window
+    /// per cache's pipe and wakes each task exactly once.
+    #[test]
+    fn one_commit_costs_one_window_and_one_wake_per_cache() {
+        use tcache_db::{Database, DatabaseConfig};
+        use tcache_net::pipe::UNBOUNDED;
+        use tcache_types::{ObjectId, TxnId, Value};
+        const CACHES: usize = 4;
+
+        let db = Database::new(DatabaseConfig::with_bound(3));
+        db.populate((0..8).map(|i| (ObjectId(i), Value::new(0))));
+        let mut reactor = Reactor::new();
+        let applied = Arc::new(AtomicU64::new(0));
+        let mut senders = Vec::new();
+        for i in 0..CACHES {
+            let (tx, rx) = bounded_pipe::<Invalidation>(UNBOUNDED, OverflowPolicy::Block);
+            senders.push(tx.clone());
+            let never = Arc::new(AtomicBool::new(false));
+            let cache = CacheId(i as u32);
+            db.register_reporting_invalidation_upcall(
+                cache,
+                modeled_delivery_sink(cache, tx, Arc::clone(&never), RetryPolicy::default()),
+            );
+            let applied = Arc::clone(&applied);
+            reactor.spawn(run_delivery(
+                rx,
+                reactor.timer(),
+                DeliveryTask {
+                    model: DeliveryModel::reliable(),
+                    loss_seed: 1,
+                    delay_seed: 2,
+                    counters: Arc::new(DeliveryCounters::default()),
+                    paused: never,
+                    extra_delay_micros: Arc::new(AtomicU64::new(0)),
+                    batch_budget: DEFAULT_BATCH_BUDGET,
+                },
+                move |_| {
+                    applied.fetch_add(1, Ordering::Relaxed);
+                },
+            ));
+        }
+        // The committing task is spawned last, so every apply task has been
+        // polled once — and parked on its empty pipe — before it runs.
+        let handle = reactor.handle();
+        let observed = Arc::new(std::sync::Mutex::new(None));
+        let out = Arc::clone(&observed);
+        reactor.spawn(async move {
+            let before = handle.stats().wakes;
+            let commit = db
+                .execute_update(TxnId(1), &vec![1u64, 2, 3].into())
+                .unwrap();
+            let wakes = handle.stats().wakes - before;
+            let pipes: Vec<PipeStatsSnapshot> = senders.iter().map(PipeSender::stats).collect();
+            *out.lock().unwrap() =
+                Some((commit.invalidations.len(), wakes, pipes, db.publish_stats()));
+            // Dropping the database drops the sinks; with `senders` gone
+            // too, every apply task drains and completes.
+        });
+        reactor.run();
+
+        let (published, wakes, pipes, publish) = observed.lock().unwrap().take().unwrap();
+        assert_eq!(published, 3);
+        assert_eq!(wakes, CACHES as u64, "one reactor wake per cache");
+        for pipe in &pipes {
+            assert_eq!(pipe.enqueued, 3);
+            assert_eq!(pipe.send_windows, 1, "one lock window per cache");
+            assert_eq!(pipe.coalesced_wakeups, 0);
+        }
+        for (_, stats) in &publish {
+            assert_eq!((stats.batches, stats.enqueued, stats.overflowed), (1, 3, 0));
+        }
+        assert_eq!(applied.load(Ordering::Relaxed), 3 * CACHES as u64);
+    }
+
+    /// Batching keeps per-invalidation loss accounting: a 2-slot pipe
+    /// receiving a 3-invalidation batch loses exactly one under either drop
+    /// policy, all in one window.
+    #[test]
+    fn batched_sink_counts_drop_policy_losses_per_invalidation() {
+        for (policy, enqueued) in [
+            (OverflowPolicy::DropNewest, 2),
+            (OverflowPolicy::DropOldest, 3),
+        ] {
+            let (tx, rx) = bounded_pipe::<Invalidation>(2, policy);
+            let sink = modeled_delivery_sink(
+                CacheId(0),
+                tx,
+                Arc::new(AtomicBool::new(false)),
+                RetryPolicy::default(),
+            );
+            let report = sink(&three_invalidations());
+            assert_eq!(report.enqueued, enqueued, "{policy}");
+            assert_eq!(report.overflowed, 1, "{policy}");
+            assert!(!report.stalled, "{policy}");
+            let stats = rx.stats();
+            assert_eq!(stats.send_windows, 1, "{policy}");
+            assert_eq!(stats.overflow_dropped(), 1, "{policy}");
+        }
+    }
+
+    /// A full `Block` pipe stalls the batched send, which completes once
+    /// the receiver drains and reports the stall with nothing lost.
+    #[test]
+    fn batched_sink_reports_block_stalls() {
+        let (tx, rx) = bounded_pipe::<Invalidation>(2, OverflowPolicy::Block);
+        let sink = modeled_delivery_sink(
+            CacheId(0),
+            tx,
+            Arc::new(AtomicBool::new(false)),
+            RetryPolicy::default(),
+        );
+        let publisher = std::thread::spawn(move || sink(&three_invalidations()));
+        // Nothing drains until the publisher is parked on the full pipe.
+        while rx.stats().stalled_sends == 0 {
+            std::thread::yield_now();
+        }
+        for _ in 0..3 {
+            assert!(rx.recv().is_some());
+        }
+        let report = publisher.join().unwrap();
+        assert!(report.stalled);
+        assert_eq!((report.enqueued, report.overflowed), (3, 0));
+        let stats = rx.stats();
+        assert_eq!(stats.stalled_sends, 1, "one stall for the one full window");
+        assert_eq!(stats.send_windows, 2);
     }
 
     #[test]

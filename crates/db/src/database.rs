@@ -220,30 +220,34 @@ impl Database {
     /// Executes the evaluation's standard update transaction over an access
     /// set: every distinct object in the set is read and then written back
     /// with its value bumped ("update transactions first read all objects
-    /// from the database, and then update all objects", §V-B1).
+    /// from the database, and then update all objects", §V-B1). Each bump
+    /// is computed from the same read whose version prepare re-validates,
+    /// so a concurrent writer of the same object aborts one of the two
+    /// instead of losing an update.
     ///
     /// # Errors
     /// Propagates concurrency-control aborts and unknown-object errors.
     pub fn execute_update(&self, txn: TxnId, access: &AccessSet) -> TCacheResult<UpdateCommit> {
         let distinct = access.distinct();
-        let mut writes = Vec::with_capacity(distinct.len());
-        for &id in &distinct {
-            let current = match self.coordinator.shard_for(id).read_entry(id) {
-                Ok(e) => e,
-                Err(e) => {
-                    self.stats.record_update_abort();
-                    return Err(e);
-                }
-            };
-            writes.push(WriteRecord::new(id, current.value.bump()));
-        }
-        self.execute_update_writes(txn, &distinct, writes)
+        let entries = self.read_all(&distinct)?;
+        let writes = distinct
+            .iter()
+            .zip(&entries)
+            .map(|(&id, entry)| WriteRecord::new(id, entry.value.bump()))
+            .collect();
+        self.commit_update(txn, &distinct, entries, writes)
     }
 
     /// Executes an update transaction with an explicit read set and write
     /// set. Objects in `writes` that are missing from `reads` are read
     /// implicitly (their old dependency lists still flow into the
     /// aggregation).
+    ///
+    /// Only written objects are re-validated at prepare time: a commit
+    /// aborts if one of them moved since this call read it. Objects that
+    /// are only read are *not* re-validated — their observed versions feed
+    /// the version clock and the dependency aggregation, but a concurrent
+    /// writer may overwrite them before this transaction commits.
     ///
     /// # Errors
     /// Returns an error if any object is unknown or the two-phase commit is
@@ -266,17 +270,41 @@ impl Database {
                 access_order.push(w.object);
             }
         }
+        let entries = self.read_all(&access_order)?;
+        self.commit_update(txn, &access_order, entries, writes)
+    }
 
-        let mut accessed = Vec::with_capacity(access_order.len());
-        let mut observed_reads = Vec::with_capacity(access_order.len());
-        for &id in &access_order {
-            let entry = match self.coordinator.shard_for(id).read_entry(id) {
-                Ok(e) => e,
+    /// Reads the current entry of every object in `ids`, counting an abort
+    /// if one is unknown.
+    fn read_all(&self, ids: &[ObjectId]) -> TCacheResult<Vec<ObjectEntry>> {
+        let mut entries = Vec::with_capacity(ids.len());
+        for &id in ids {
+            match self.coordinator.shard_for(id).read_entry(id) {
+                Ok(e) => entries.push(e),
                 Err(e) => {
                     self.stats.record_update_abort();
                     return Err(e);
                 }
-            };
+            }
+        }
+        Ok(entries)
+    }
+
+    /// Commits `writes` for a transaction that read `entries` (one per
+    /// object of `access_order`, which covers every written object):
+    /// assigns the version, aggregates dependency lists, runs two-phase
+    /// commit with the observed versions re-validated, and publishes the
+    /// invalidations.
+    fn commit_update(
+        &self,
+        txn: TxnId,
+        access_order: &[ObjectId],
+        entries: Vec<ObjectEntry>,
+        writes: Vec<WriteRecord>,
+    ) -> TCacheResult<UpdateCommit> {
+        let mut accessed = Vec::with_capacity(access_order.len());
+        let mut observed_reads = Vec::with_capacity(access_order.len());
+        for (&id, entry) in access_order.iter().zip(entries) {
             observed_reads.push((id, entry.version));
             accessed.push(AccessedObject {
                 key: id,
@@ -299,6 +327,11 @@ impl Database {
             .iter()
             .map(|w| PreparedWrite {
                 object: w.object,
+                observed: observed_reads
+                    .iter()
+                    .find(|&&(id, _)| id == w.object)
+                    .map(|&(_, v)| v)
+                    .expect("every written object was read"),
                 value: w.value.clone(),
                 version,
                 dependencies: agg.list_for(w.object),
@@ -639,6 +672,49 @@ mod tests {
         assert!(db.read_version(ObjectId(99), c1.version).is_none());
     }
 
+    /// Two threads bump the same object concurrently. Prepare re-validates
+    /// the version each bump was computed from, so every commit's bump
+    /// survives (no lost update) and the installed versions only grow.
+    #[test]
+    fn concurrent_updaters_of_one_object_lose_no_update() {
+        const PER_THREAD: u64 = 2_000;
+        let db = Arc::new(db_with(4, 3));
+        let workers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let db = Arc::clone(&db);
+                std::thread::spawn(move || {
+                    let mut committed = Vec::new();
+                    for i in 0..PER_THREAD {
+                        let txn = TxnId(1 + t * PER_THREAD + i);
+                        if let Ok(c) = db.execute_update(txn, &vec![0u64, 1 + t].into()) {
+                            committed.push(c.version);
+                        }
+                    }
+                    committed
+                })
+            })
+            .collect();
+        let mut versions: Vec<Version> = Vec::new();
+        for w in workers {
+            let mine = w.join().unwrap();
+            assert!(mine.windows(2).all(|p| p[0] < p[1]));
+            versions.extend(mine);
+        }
+        let entry = db.read_entry(ObjectId(0)).unwrap();
+        assert_eq!(
+            entry.value.numeric(),
+            versions.len() as u64,
+            "every committed bump of object 0 survived"
+        );
+        assert_eq!(entry.version, versions.iter().copied().max().unwrap());
+        let stats = db.stats();
+        assert_eq!(stats.updates_committed, versions.len() as u64);
+        assert_eq!(
+            stats.updates_committed + stats.updates_aborted,
+            2 * PER_THREAD
+        );
+    }
+
     #[test]
     fn stats_classify_reads_by_path() {
         let db = db_with(10, 3);
@@ -646,10 +722,9 @@ mod tests {
         db.execute_update(TxnId(1), &vec![2u64, 3].into()).unwrap();
         let snap = db.stats();
         // Every store snapshot was optimistic and uncontended in this
-        // single-threaded test: the miss read (1), the update's
-        // read-modify-write pre-reads (2), the dependency-aggregation
-        // reads (2) and the prepare-phase existence checks (2).
-        assert_eq!(snap.read_path.optimistic_hits, 7);
+        // single-threaded test: the miss read (1), the update's reads (2)
+        // and the prepare-phase version checks (2).
+        assert_eq!(snap.read_path.optimistic_hits, 5);
         assert_eq!(snap.read_path.optimistic_retries, 0);
         assert_eq!(snap.read_path.lock_fallbacks, 0);
         assert_eq!(snap.read_path.locked_reads, 0);

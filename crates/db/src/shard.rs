@@ -4,7 +4,7 @@
 //! Each shard has its own [`VersionedStore`] and lock table. The coordinator
 //! (in [`crate::twopc`]) drives the `prepare` / `commit` / `abort` protocol;
 //! a shard votes *yes* on prepare only if it can lock every touched object
-//! it owns.
+//! it owns and each is still at the version the transaction observed.
 //!
 //! Read-only accesses take the store's read path: on the default
 //! [`ReadPath::Optimistic`] a read is a seqlock-validated snapshot that
@@ -26,6 +26,11 @@ use tcache_types::{
 pub struct PreparedWrite {
     /// The object to overwrite.
     pub object: ObjectId,
+    /// The version the transaction read before writing. Prepare votes no
+    /// if the object has moved past it, so a read-modify-write can never
+    /// lose a concurrent update or install an older version over a newer
+    /// one.
+    pub observed: Version,
     /// The new value.
     pub value: Value,
     /// The version to install (the transaction's version).
@@ -99,9 +104,9 @@ impl Shard {
     /// pre-prepare reads: on [`ReadPath::Optimistic`] it is a non-blocking
     /// bucket snapshot; on [`ReadPath::Locked`] it blocks on the store's
     /// single lock (but still never touches the 2PL table — the observed
-    /// versions are what update transactions later re-validate under their
-    /// exclusive locks, and read-only traffic needs no table entry at
-    /// all).
+    /// versions of written objects are what update transactions later
+    /// re-validate under their exclusive locks in [`Shard::prepare`], and
+    /// read-only traffic needs no table entry at all).
     ///
     /// [`Database::read_entry`]: crate::database::Database::read_entry
     pub fn read_entry(&self, id: ObjectId) -> TCacheResult<ObjectEntry> {
@@ -118,8 +123,9 @@ impl Shard {
     /// [`ReadPath::Locked`] the historical behaviour is kept: a short
     /// shared lock held for the duration of the copy (failing no-wait if a
     /// writer holds the object exclusively). Either way, update
-    /// transactions re-acquire exclusive locks at prepare time, which is
-    /// where write-write conflicts are decided.
+    /// transactions re-acquire exclusive locks at prepare time and
+    /// re-validate the versions they observed for the objects they write,
+    /// which is where write-write conflicts are decided.
     pub fn read(&self, txn: TxnId, id: ObjectId) -> TCacheResult<ObjectEntry> {
         if self.store.read_path() == ReadPath::Optimistic {
             return self.read_entry(id);
@@ -146,13 +152,16 @@ impl Shard {
         self.store.read_version(id, version)
     }
 
-    /// Phase one of two-phase commit: lock the written objects exclusively
-    /// and stage the writes. Returns the shard's vote.
+    /// Phase one of two-phase commit: lock the written objects exclusively,
+    /// re-validate what the transaction observed, and stage the writes.
+    /// Returns the shard's vote.
     ///
-    /// Locks are acquired *before* the existence check so the check cannot
-    /// race with concurrent writers, and every acquired lock is released on
-    /// the `Vote::No` path — a shard that votes no never leaves partial
-    /// locks behind.
+    /// Under the exclusive locks every written object must still exist and
+    /// still be at [`PreparedWrite::observed`]; a writer that committed in
+    /// between moves the version and the vote is no. Locks are acquired
+    /// *before* the check so it cannot race with concurrent writers, and
+    /// every acquired lock is released on the `Vote::No` path — a shard
+    /// that votes no never leaves partial locks behind.
     pub fn prepare(&self, txn: TxnId, writes: Vec<PreparedWrite>) -> Vote {
         let objects: Vec<ObjectId> = writes.iter().map(|w| w.object).collect();
         if self
@@ -163,7 +172,10 @@ impl Shard {
             // try_lock_all is all-or-nothing: a conflict grants nothing.
             return Vote::No;
         }
-        if objects.iter().any(|&o| !self.store.contains(o)) {
+        if writes
+            .iter()
+            .any(|w| self.store.version_of(w.object) != Ok(w.observed))
+        {
             self.locks.release_all(txn);
             return Vote::No;
         }
@@ -210,9 +222,12 @@ impl Shard {
 mod tests {
     use super::*;
 
-    fn write(o: u64, val: u64, ver: u64) -> PreparedWrite {
+    /// A write based on a fresh read of `o` (missing objects read as
+    /// the initial version).
+    fn write(s: &Shard, o: u64, val: u64, ver: u64) -> PreparedWrite {
         PreparedWrite {
             object: ObjectId(o),
+            observed: s.store().version_of(ObjectId(o)).unwrap_or(Version::INITIAL),
             value: Value::new(val),
             version: Version(ver),
             dependencies: DependencyList::bounded(3),
@@ -231,7 +246,7 @@ mod tests {
     fn prepare_commit_installs_writes() {
         let s = shard_with(3);
         assert_eq!(s.index(), 0);
-        let vote = s.prepare(TxnId(1), vec![write(0, 7, 1), write(1, 8, 1)]);
+        let vote = s.prepare(TxnId(1), vec![write(&s, 0, 7, 1), write(&s, 1, 8, 1)]);
         assert_eq!(vote, Vote::Yes);
         assert_eq!(s.prepared_count(), 1);
         let installed = s.commit(TxnId(1)).unwrap();
@@ -244,21 +259,21 @@ mod tests {
     #[test]
     fn prepare_conflicting_transactions_vote_no() {
         let s = shard_with(3);
-        assert_eq!(s.prepare(TxnId(1), vec![write(0, 1, 1)]), Vote::Yes);
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 2, 2)]), Vote::No);
+        assert_eq!(s.prepare(TxnId(1), vec![write(&s, 0, 1, 1)]), Vote::Yes);
+        assert_eq!(s.prepare(TxnId(2), vec![write(&s, 0, 2, 2)]), Vote::No);
         // After commit the object is free again.
         s.commit(TxnId(1)).unwrap();
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 2, 2)]), Vote::Yes);
+        assert_eq!(s.prepare(TxnId(2), vec![write(&s, 0, 2, 2)]), Vote::Yes);
     }
 
     #[test]
     fn abort_discards_staged_writes_and_releases_locks() {
         let s = shard_with(2);
-        assert_eq!(s.prepare(TxnId(1), vec![write(0, 9, 5)]), Vote::Yes);
+        assert_eq!(s.prepare(TxnId(1), vec![write(&s, 0, 9, 5)]), Vote::Yes);
         s.abort(TxnId(1));
         assert_eq!(s.prepared_count(), 0);
         assert_eq!(s.store().get(ObjectId(0)).unwrap().value.numeric(), 0);
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 2, 2)]), Vote::Yes);
+        assert_eq!(s.prepare(TxnId(2), vec![write(&s, 0, 2, 2)]), Vote::Yes);
         // Aborting an unknown transaction is a no-op.
         s.abort(TxnId(42));
     }
@@ -275,7 +290,7 @@ mod tests {
     #[test]
     fn prepare_unknown_object_votes_no() {
         let s = shard_with(1);
-        assert_eq!(s.prepare(TxnId(1), vec![write(99, 1, 1)]), Vote::No);
+        assert_eq!(s.prepare(TxnId(1), vec![write(&s, 99, 1, 1)]), Vote::No);
     }
 
     #[test]
@@ -285,12 +300,12 @@ mod tests {
         // so a subsequent transaction can lock and commit it.
         let s = shard_with(2);
         assert_eq!(
-            s.prepare(TxnId(1), vec![write(0, 5, 1), write(99, 5, 1)]),
+            s.prepare(TxnId(1), vec![write(&s, 0, 5, 1), write(&s, 99, 5, 1)]),
             Vote::No
         );
         assert_eq!(s.prepared_count(), 0, "nothing may be staged after a no vote");
         assert_eq!(
-            s.prepare(TxnId(2), vec![write(0, 7, 2), write(1, 7, 2)]),
+            s.prepare(TxnId(2), vec![write(&s, 0, 7, 2), write(&s, 1, 7, 2)]),
             Vote::Yes,
             "the rejected prepare must not leave object 0 locked"
         );
@@ -299,8 +314,23 @@ mod tests {
         // The original transaction holds nothing either: aborting it is a
         // no-op and it can start over cleanly.
         s.abort(TxnId(1));
-        assert_eq!(s.prepare(TxnId(1), vec![write(1, 9, 3)]), Vote::Yes);
+        assert_eq!(s.prepare(TxnId(1), vec![write(&s, 1, 9, 3)]), Vote::Yes);
         s.abort(TxnId(1));
+    }
+
+    #[test]
+    fn prepare_rejects_a_write_whose_object_moved() {
+        let s = shard_with(2);
+        // Both transactions read object 0 at the initial version.
+        let stale = write(&s, 0, 5, 2);
+        assert_eq!(s.prepare(TxnId(1), vec![write(&s, 0, 7, 1)]), Vote::Yes);
+        s.commit(TxnId(1)).unwrap();
+        // Object 0 moved to version 1 since the stale write's read: the
+        // vote is no, nothing is staged and no lock is left behind.
+        assert_eq!(s.prepare(TxnId(2), vec![write(&s, 1, 5, 2), stale]), Vote::No);
+        assert_eq!(s.prepared_count(), 0);
+        assert_eq!(s.locked_objects(), 0);
+        assert_eq!(s.store().get(ObjectId(0)).unwrap().value.numeric(), 7);
     }
 
     #[test]
@@ -309,7 +339,7 @@ mod tests {
         let e = s.read(TxnId(1), ObjectId(0)).unwrap();
         assert_eq!(e.version, Version::INITIAL);
         // The read leaves no lock behind, so an exclusive prepare succeeds.
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 1, 1)]), Vote::Yes);
+        assert_eq!(s.prepare(TxnId(2), vec![write(&s, 0, 1, 1)]), Vote::Yes);
         assert!(s.read(TxnId(3), ObjectId(55)).is_err());
     }
 
@@ -324,7 +354,7 @@ mod tests {
         );
         // Even while another transaction holds the exclusive lock, an
         // optimistic read is served (it reads the last committed state).
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 1, 1)]), Vote::Yes);
+        assert_eq!(s.prepare(TxnId(2), vec![write(&s, 0, 1, 1)]), Vote::Yes);
         let e = s.read(TxnId(3), ObjectId(0)).unwrap();
         assert_eq!(e.version, Version::INITIAL, "staged write not yet visible");
         s.commit(TxnId(2)).unwrap();
@@ -340,7 +370,7 @@ mod tests {
         assert_eq!(s.store().read_path(), ReadPath::Locked);
         // A reader that cannot get the shared lock aborts (no-wait): hold
         // the exclusive lock through a dangling prepare.
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 1, 1)]), Vote::Yes);
+        assert_eq!(s.prepare(TxnId(2), vec![write(&s, 0, 1, 1)]), Vote::Yes);
         assert!(s.read(TxnId(3), ObjectId(0)).is_err());
         s.abort(TxnId(2));
     }
@@ -349,9 +379,9 @@ mod tests {
     fn read_version_serves_history_without_locks() {
         let s = Shard::new(0, 4);
         s.populate(ObjectId(0), Value::new(0));
-        assert_eq!(s.prepare(TxnId(1), vec![write(0, 7, 1)]), Vote::Yes);
+        assert_eq!(s.prepare(TxnId(1), vec![write(&s, 0, 7, 1)]), Vote::Yes);
         s.commit(TxnId(1)).unwrap();
-        assert_eq!(s.prepare(TxnId(2), vec![write(0, 8, 2)]), Vote::Yes);
+        assert_eq!(s.prepare(TxnId(2), vec![write(&s, 0, 8, 2)]), Vote::Yes);
         s.commit(TxnId(2)).unwrap();
         let old = s.read_version(ObjectId(0), Version(1)).unwrap();
         assert_eq!(old.value.numeric(), 7);

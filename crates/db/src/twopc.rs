@@ -13,11 +13,14 @@
 //! sequence rather than lock acquisitions. The exclusive write locks taken
 //! at prepare time are unchanged — they are what serializes installs of
 //! the same object, which is the precondition the store's `install`
-//! documents. A shard's existence check during prepare rides the same
-//! optimistic surface ([`VersionedStore::contains`]) and is safe because
-//! the objects it guards are already exclusively locked by that point.
+//! documents. Under those locks a shard re-validates every written object:
+//! it must still exist and still be at the version the transaction
+//! observed ([`PreparedWrite::observed`]), or the vote is no. The check
+//! rides the same optimistic surface ([`VersionedStore::version_of`]) and
+//! is exact because the objects it guards are already exclusively locked
+//! by that point. Objects a transaction only reads are not re-validated.
 //!
-//! [`VersionedStore::contains`]: crate::store::VersionedStore::contains
+//! [`VersionedStore::version_of`]: crate::store::VersionedStore::version_of
 
 use crate::shard::{PreparedWrite, Shard, Vote};
 use std::sync::Arc;
@@ -172,9 +175,17 @@ mod tests {
         coord
     }
 
-    fn write(o: u64, ver: u64) -> PreparedWrite {
+    /// A write based on a fresh read of `o` (missing objects read as the
+    /// initial version).
+    fn write(coord: &Coordinator, o: u64, ver: u64) -> PreparedWrite {
+        let object = ObjectId(o);
         PreparedWrite {
-            object: ObjectId(o),
+            object,
+            observed: coord
+                .shard_for(object)
+                .store()
+                .version_of(object)
+                .unwrap_or(Version::INITIAL),
             value: Value::new(ver),
             version: Version(ver),
             dependencies: DependencyList::bounded(3),
@@ -204,7 +215,7 @@ mod tests {
     fn multi_shard_commit_installs_everywhere() {
         let coord = coordinator(3, 9);
         let outcome = coord
-            .commit(TxnId(1), vec![write(0, 1), write(1, 1), write(2, 1)])
+            .commit(TxnId(1), vec![write(&coord, 0, 1), write(&coord, 1, 1), write(&coord, 2, 1)])
             .unwrap();
         assert_eq!(outcome.installed.len(), 3);
         assert_eq!(outcome.participants, 3);
@@ -219,7 +230,7 @@ mod tests {
         let coord = coordinator(3, 9);
         // Objects 0, 3, 6 all map to shard 0 with modulo routing.
         let outcome = coord
-            .commit(TxnId(1), vec![write(0, 1), write(3, 1), write(6, 1)])
+            .commit(TxnId(1), vec![write(&coord, 0, 1), write(&coord, 3, 1), write(&coord, 6, 1)])
             .unwrap();
         assert_eq!(outcome.participants, 1);
     }
@@ -229,13 +240,13 @@ mod tests {
         let coord = coordinator(2, 4);
         // Hold a lock on object 1 (shard 1) through a dangling prepare.
         assert_eq!(
-            coord.shard_for(ObjectId(1)).prepare(TxnId(9), vec![write(1, 5)]),
+            coord.shard_for(ObjectId(1)).prepare(TxnId(9), vec![write(&coord, 1, 5)]),
             Vote::Yes
         );
         // A transaction touching objects 0 (shard 0) and 1 (shard 1) must
         // fail and leave shard 0 untouched and unlocked.
         let err = coord
-            .commit(TxnId(2), vec![write(0, 2), write(1, 2)])
+            .commit(TxnId(2), vec![write(&coord, 0, 2), write(&coord, 1, 2)])
             .unwrap_err();
         assert!(matches!(err, TCacheError::UpdateAborted { .. }));
         assert_eq!(
@@ -243,16 +254,16 @@ mod tests {
             Version::INITIAL
         );
         // Shard 0 must not be left locked: a fresh transaction succeeds.
-        coord.commit(TxnId(3), vec![write(0, 3)]).unwrap();
+        coord.commit(TxnId(3), vec![write(&coord, 0, 3)]).unwrap();
         // Clean up the dangling prepare and verify object 1 commits too.
         coord.shard_for(ObjectId(1)).abort(TxnId(9));
-        coord.commit(TxnId(4), vec![write(1, 4)]).unwrap();
+        coord.commit(TxnId(4), vec![write(&coord, 1, 4)]).unwrap();
     }
 
     #[test]
     fn unknown_object_rejects_commit() {
         let coord = coordinator(2, 2);
-        let err = coord.commit(TxnId(1), vec![write(77, 1)]).unwrap_err();
+        let err = coord.commit(TxnId(1), vec![write(&coord, 77, 1)]).unwrap_err();
         assert!(matches!(err, TCacheError::UpdateAborted { .. }));
     }
 

@@ -252,7 +252,9 @@ where
             apply(message);
             counters.delivered.fetch_add(1, Ordering::Release);
         }
-        if !rx.is_empty() {
+        // A short drain emptied the pipe, so only a full budget can leave
+        // backlog behind; skip the pipe-lock probe otherwise.
+        if drained == budget && !rx.is_empty() {
             // Budget exhausted with backlog remaining: hand the reactor
             // back to sibling tasks before draining the next batch.
             rx.note_budget_yield();

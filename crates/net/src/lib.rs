@@ -47,8 +47,8 @@ pub use fanout::{CacheLink, InvalidationFanout};
 pub use fault::{FaultCursor, FaultEvent, FaultKind, FaultPlan, LossModel, LossState};
 pub use latency::LatencyModel;
 pub use pipe::{
-    bounded_pipe, OverflowPolicy, PipeReceiver, PipeSendError, PipeSender, PipeStatsSnapshot,
-    SendOutcome, UNBOUNDED,
+    bounded_pipe, BatchOutcome, OverflowPolicy, PipeReceiver, PipeSendError, PipeSender,
+    PipeStatsSnapshot, SendOutcome, UNBOUNDED,
 };
 pub use reactor::{Reactor, ReactorHandle, ReactorStats, TaskId, TimerHandle};
 pub use transport::{live_channel, live_channel_with, LiveReceiver, LiveSender};

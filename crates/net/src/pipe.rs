@@ -18,12 +18,26 @@
 //! *asynchronous* receives; [`PipeReceiver::recv_async`] registers a
 //! [`std::task::Waker`], which is what lets one reactor thread multiplex
 //! many caches' pipes (see [`crate::reactor`]).
+//!
+//! Two rules keep the sending side cheap on a commit path:
+//!
+//! * **Batch sends.** [`PipeSender::send`], [`PipeSender::try_send`] and
+//!   [`PipeSender::send_batch`] share one enqueue routine that takes the
+//!   pipe lock once per capacity window and signals the receiver at most
+//!   once per window, so a whole invalidation batch costs one lock and at
+//!   most one wakeup.
+//! * **Notify only waiters.** The pipe counts the threads blocked in
+//!   [`PipeReceiver::recv`] / [`PipeReceiver::recv_timeout`] and in `Block`
+//!   sends, under the pipe mutex, and signals a condvar only while its
+//!   count is nonzero. A condvar notify is a futex syscall even when
+//!   nobody waits; a receiver parked on the reactor is woken through its
+//!   waker alone.
 
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
@@ -55,6 +69,7 @@ impl std::fmt::Display for OverflowPolicy {
 #[derive(Debug, Default)]
 pub struct PipeStats {
     enqueued: AtomicU64,
+    send_windows: AtomicU64,
     rejected: AtomicU64,
     evicted: AtomicU64,
     received: AtomicU64,
@@ -72,13 +87,19 @@ pub struct PipeStatsSnapshot {
     /// Messages accepted into the queue (including ones later evicted by
     /// [`OverflowPolicy::DropOldest`]).
     pub enqueued: u64,
+    /// Sender lock windows that enqueued at least one message: one per
+    /// send, one per [`PipeSender::send_batch`] call with room for the
+    /// whole batch (more only when a `Block` pipe fills mid-batch).
+    pub send_windows: u64,
     /// Incoming messages rejected at capacity ([`OverflowPolicy::DropNewest`]).
     pub rejected: u64,
     /// Pending messages evicted at capacity ([`OverflowPolicy::DropOldest`]).
     pub evicted: u64,
     /// Messages handed to the receiver.
     pub received: u64,
-    /// Sends that had to wait for a slot ([`OverflowPolicy::Block`]).
+    /// Sender waits for a slot ([`OverflowPolicy::Block`]), counted per
+    /// capacity window: a batch that fills the pipe twice stalls twice,
+    /// however many messages each wait admits.
     pub stalled_sends: u64,
     /// Total wall-clock time senders spent waiting for slots, in
     /// microseconds.
@@ -88,9 +109,11 @@ pub struct PipeStatsSnapshot {
     pub batched_polls: u64,
     /// Largest number of messages a single batch poll drained.
     pub max_drain: u64,
-    /// Sends that found a wakeup already in flight and skipped firing the
-    /// receiver's waker again (the receiver observes the message in the
-    /// drain the pending wakeup triggers).
+    /// Send windows that found a wakeup already in flight and skipped
+    /// firing the receiver's waker again (the receiver observes the
+    /// messages in the drain the pending wakeup triggers). Counted per
+    /// window, not per message: a batch sent in one window coalesces at
+    /// most once.
     pub coalesced_wakeups: u64,
     /// Times the receiver's apply loop exhausted its per-poll budget with
     /// backlog remaining and cooperatively re-yielded to the reactor
@@ -119,6 +142,7 @@ impl PipeStatsSnapshot {
     /// aggregates; `max_drain` takes the maximum, not the sum.
     pub fn merge(&mut self, other: PipeStatsSnapshot) {
         self.enqueued = self.enqueued.saturating_add(other.enqueued);
+        self.send_windows = self.send_windows.saturating_add(other.send_windows);
         self.rejected = self.rejected.saturating_add(other.rejected);
         self.evicted = self.evicted.saturating_add(other.evicted);
         self.received = self.received.saturating_add(other.received);
@@ -136,6 +160,7 @@ impl PipeStats {
     pub fn snapshot(&self) -> PipeStatsSnapshot {
         PipeStatsSnapshot {
             enqueued: self.enqueued.load(Ordering::Relaxed),
+            send_windows: self.send_windows.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             received: self.received.load(Ordering::Relaxed),
@@ -196,6 +221,33 @@ impl<T> PipeSendError<T> {
     }
 }
 
+/// What one enqueue call ([`PipeSender::send_batch`]) did with its
+/// messages, summed over every capacity window it took — exactly what the
+/// publisher's per-cache attribution needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BatchOutcome {
+    /// Messages that entered the queue (under [`OverflowPolicy::DropOldest`]
+    /// this includes ones whose entry evicted a pending message).
+    pub enqueued: u64,
+    /// Messages lost to the overflow policy: incoming ones rejected
+    /// ([`OverflowPolicy::DropNewest`]) plus pending ones evicted
+    /// ([`OverflowPolicy::DropOldest`]).
+    pub lost: u64,
+    /// Whether the call had to wait for capacity ([`OverflowPolicy::Block`]).
+    pub stalled: bool,
+}
+
+impl BatchOutcome {
+    /// The single-message view of this outcome.
+    fn single(self) -> SendOutcome {
+        match (self.enqueued, self.lost) {
+            (_, 0) => SendOutcome::Enqueued,
+            (0, _) => SendOutcome::Rejected,
+            _ => SendOutcome::EnqueuedEvictingOldest,
+        }
+    }
+}
+
 struct PipeInner<T> {
     queue: VecDeque<T>,
     /// Waker of a pending [`RecvFuture`] / [`RecvBatchFuture`], if the
@@ -208,13 +260,22 @@ struct PipeInner<T> {
     wake_pending: bool,
     senders: usize,
     receiver_alive: bool,
+    /// Threads blocked on `not_empty` in [`PipeReceiver::recv`] /
+    /// [`PipeReceiver::recv_timeout`]. `not_empty` is signalled only while
+    /// this is nonzero: a condvar notify is a syscall even with no waiter.
+    blocked_receivers: usize,
+    /// Threads blocked on `not_full` in an [`OverflowPolicy::Block`] send;
+    /// `not_full` is signalled only while this is nonzero.
+    blocked_senders: usize,
 }
 
 struct PipeShared<T> {
     inner: Mutex<PipeInner<T>>,
-    /// Signalled when a message arrives or the last sender disconnects.
+    /// Signalled when a message arrives or the last sender disconnects,
+    /// if a receiver thread is blocked.
     not_empty: Condvar,
-    /// Signalled when a slot frees or the receiver disconnects.
+    /// Signalled when a slot frees or the receiver disconnects, if a
+    /// sender thread is blocked.
     not_full: Condvar,
     capacity: usize,
     policy: OverflowPolicy,
@@ -222,29 +283,19 @@ struct PipeShared<T> {
 }
 
 impl<T> PipeShared<T> {
-    /// Pops one message, updating counters and signalling writers.
+    fn lock(&self) -> MutexGuard<'_, PipeInner<T>> {
+        self.inner.lock().expect("pipe lock")
+    }
+
+    /// Pops one message, updating counters and signalling a blocked
+    /// writer.
     fn pop(&self, inner: &mut PipeInner<T>) -> Option<T> {
         let value = inner.queue.pop_front()?;
         self.stats.received.fetch_add(1, Ordering::Relaxed);
-        self.not_full.notify_one();
-        Some(value)
-    }
-
-    /// Applies the drop policies to a queue at capacity. The caller must
-    /// ensure the queue is full and the policy is not `Block`.
-    fn drop_policy_outcome(&self, inner: &mut PipeInner<T>) -> SendOutcome {
-        match self.policy {
-            OverflowPolicy::DropNewest => {
-                self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                SendOutcome::Rejected
-            }
-            OverflowPolicy::DropOldest => {
-                inner.queue.pop_front();
-                self.stats.evicted.fetch_add(1, Ordering::Relaxed);
-                SendOutcome::EnqueuedEvictingOldest
-            }
-            OverflowPolicy::Block => unreachable!("Block is handled by the caller"),
+        if inner.blocked_senders > 0 {
+            self.not_full.notify_one();
         }
+        Some(value)
     }
 
     /// Pops up to `max` messages into `buf`, updating the batch counters
@@ -262,34 +313,130 @@ impl<T> PipeShared<T> {
         // One notify_all for the whole batch: every blocked sender
         // re-checks capacity under the lock, so over-notifying is safe and
         // far cheaper than n notify_one calls.
-        self.not_full.notify_all();
+        if inner.blocked_senders > 0 {
+            self.not_full.notify_all();
+        }
         n
     }
 
-    /// Enqueues `value` and wakes the receiver (waker first, then the
-    /// condvar), releasing the lock before firing the waker. If a wakeup is
-    /// already in flight the send coalesces into it: nothing is re-fired
-    /// and the receiver picks this message up in the same drain.
-    fn push_and_wake(&self, mut inner: std::sync::MutexGuard<'_, PipeInner<T>>, value: T) {
-        inner.queue.push_back(value);
-        self.stats.enqueued.fetch_add(1, Ordering::Relaxed);
-        let waker = if inner.wake_pending {
+    /// Takes the receiver's waker for firing once the lock is released, or
+    /// coalesces into a wakeup already in flight (counted; the receiver
+    /// picks the new messages up in the drain that wakeup triggers).
+    fn take_waker(&self, inner: &mut PipeInner<T>) -> Option<Waker> {
+        if inner.wake_pending {
             self.stats.coalesced_wakeups.fetch_add(1, Ordering::Relaxed);
-            None
-        } else {
-            match inner.recv_waker.take() {
-                Some(w) => {
-                    inner.wake_pending = true;
-                    Some(w)
-                }
-                None => None,
-            }
-        };
-        self.not_empty.notify_one();
-        drop(inner);
-        if let Some(w) = waker {
-            w.wake();
+            return None;
         }
+        let waker = inner.recv_waker.take()?;
+        inner.wake_pending = true;
+        Some(waker)
+    }
+
+    /// The one enqueue routine behind every send: enqueues `first` and then
+    /// the rest of `iter`, applying the overflow policy per message.
+    ///
+    /// The lock is taken once per capacity window — once in total unless a
+    /// `Block` pipe fills mid-batch. Each window that enqueued anything
+    /// signals the receiver once (its waker, coalesced with one already in
+    /// flight, and `not_empty` only if a receiver thread is blocked). A
+    /// full `Block` pipe parks the caller on `not_full` when `wait` is set
+    /// (the window already enqueued was signalled first, so a parked
+    /// receiver always drains it) and fails with [`PipeSendError::Full`]
+    /// otherwise.
+    fn enqueue(
+        &self,
+        first: T,
+        iter: &mut impl Iterator<Item = T>,
+        wait: bool,
+    ) -> Result<BatchOutcome, PipeSendError<T>> {
+        let mut outcome = BatchOutcome::default();
+        let mut pending = Some(first);
+        while let Some(head) = pending.take() {
+            let mut inner = self.lock();
+            if !inner.receiver_alive {
+                return Err(PipeSendError::Disconnected(head));
+            }
+            if self.policy == OverflowPolicy::Block && inner.queue.len() >= self.capacity {
+                if !wait {
+                    return Err(PipeSendError::Full(head));
+                }
+                inner = self.wait_for_slot(inner);
+                outcome.stalled = true;
+                if !inner.receiver_alive {
+                    return Err(PipeSendError::Disconnected(head));
+                }
+            }
+            let (mut window, mut rejected, mut evicted) = (0u64, 0u64, 0u64);
+            let mut next = Some(head);
+            while let Some(value) = next.take() {
+                if inner.queue.len() >= self.capacity {
+                    match self.policy {
+                        OverflowPolicy::Block => {
+                            // Window closed: signal what we have, then park
+                            // for a slot on the next pass round the loop.
+                            pending = Some(value);
+                            break;
+                        }
+                        OverflowPolicy::DropNewest => {
+                            rejected += 1;
+                            next = iter.next();
+                            continue;
+                        }
+                        OverflowPolicy::DropOldest => {
+                            inner.queue.pop_front();
+                            evicted += 1;
+                        }
+                    }
+                }
+                inner.queue.push_back(value);
+                window += 1;
+                next = iter.next();
+            }
+            if rejected > 0 {
+                self.stats.rejected.fetch_add(rejected, Ordering::Relaxed);
+            }
+            if evicted > 0 {
+                self.stats.evicted.fetch_add(evicted, Ordering::Relaxed);
+            }
+            outcome.lost += rejected + evicted;
+            if window == 0 {
+                continue;
+            }
+            outcome.enqueued += window;
+            self.stats.enqueued.fetch_add(window, Ordering::Relaxed);
+            self.stats.send_windows.fetch_add(1, Ordering::Relaxed);
+            // notify_all: a window may carry several messages for several
+            // blocked `recv` callers, and with one waiter it costs the same.
+            if inner.blocked_receivers > 0 {
+                self.not_empty.notify_all();
+            }
+            let waker = self.take_waker(&mut inner);
+            drop(inner);
+            if let Some(w) = waker {
+                w.wake();
+            }
+        }
+        Ok(outcome)
+    }
+
+    /// Parks a `Block` sender until the queue has room or the receiver is
+    /// gone, counting the stall.
+    fn wait_for_slot<'a>(
+        &self,
+        mut inner: MutexGuard<'a, PipeInner<T>>,
+    ) -> MutexGuard<'a, PipeInner<T>> {
+        self.stats.stalled_sends.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        inner.blocked_senders += 1;
+        while inner.queue.len() >= self.capacity && inner.receiver_alive {
+            inner = self.not_full.wait(inner).expect("pipe lock");
+        }
+        inner.blocked_senders -= 1;
+        self.stats.stall_micros.fetch_add(
+            u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
+            Ordering::Relaxed,
+        );
+        inner
     }
 }
 
@@ -335,6 +482,8 @@ pub fn bounded_pipe<T>(
             wake_pending: false,
             senders: 1,
             receiver_alive: true,
+            blocked_receivers: 0,
+            blocked_senders: 0,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -355,7 +504,7 @@ pub const UNBOUNDED: usize = usize::MAX;
 
 impl<T> Clone for PipeSender<T> {
     fn clone(&self) -> Self {
-        self.shared.inner.lock().expect("pipe lock").senders += 1;
+        self.shared.lock().senders += 1;
         PipeSender {
             shared: Arc::clone(&self.shared),
         }
@@ -365,10 +514,12 @@ impl<T> Clone for PipeSender<T> {
 impl<T> Drop for PipeSender<T> {
     fn drop(&mut self) {
         let waker = {
-            let mut inner = self.shared.inner.lock().expect("pipe lock");
+            let mut inner = self.shared.lock();
             inner.senders -= 1;
             if inner.senders == 0 {
-                self.shared.not_empty.notify_all();
+                if inner.blocked_receivers > 0 {
+                    self.shared.not_empty.notify_all();
+                }
                 match inner.recv_waker.take() {
                     Some(w) => {
                         inner.wake_pending = true;
@@ -388,9 +539,11 @@ impl<T> Drop for PipeSender<T> {
 
 impl<T> Drop for PipeReceiver<T> {
     fn drop(&mut self) {
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
+        let mut inner = self.shared.lock();
         inner.receiver_alive = false;
-        self.shared.not_full.notify_all();
+        if inner.blocked_senders > 0 {
+            self.shared.not_full.notify_all();
+        }
     }
 }
 
@@ -403,35 +556,9 @@ impl<T> PipeSender<T> {
     /// # Errors
     /// Returns [`PipeSendError::Disconnected`] when the receiver is gone.
     pub fn send(&self, value: T) -> Result<SendOutcome, PipeSendError<T>> {
-        let shared = &self.shared;
-        let mut inner = shared.inner.lock().expect("pipe lock");
-        if !inner.receiver_alive {
-            return Err(PipeSendError::Disconnected(value));
-        }
-        let mut outcome = SendOutcome::Enqueued;
-        if inner.queue.len() >= shared.capacity {
-            if shared.policy == OverflowPolicy::Block {
-                shared.stats.stalled_sends.fetch_add(1, Ordering::Relaxed);
-                let started = Instant::now();
-                while inner.queue.len() >= shared.capacity && inner.receiver_alive {
-                    inner = shared.not_full.wait(inner).expect("pipe lock");
-                }
-                shared.stats.stall_micros.fetch_add(
-                    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    Ordering::Relaxed,
-                );
-                if !inner.receiver_alive {
-                    return Err(PipeSendError::Disconnected(value));
-                }
-            } else {
-                outcome = shared.drop_policy_outcome(&mut inner);
-                if outcome == SendOutcome::Rejected {
-                    return Ok(outcome);
-                }
-            }
-        }
-        shared.push_and_wake(inner, value);
-        Ok(outcome)
+        self.shared
+            .enqueue(value, &mut std::iter::empty(), true)
+            .map(BatchOutcome::single)
     }
 
     /// Sends without ever blocking: at capacity, `Block` behaves like a
@@ -442,118 +569,48 @@ impl<T> PipeSender<T> {
     /// [`PipeSendError::Full`] under `Block` at capacity,
     /// [`PipeSendError::Disconnected`] when the receiver is gone.
     pub fn try_send(&self, value: T) -> Result<SendOutcome, PipeSendError<T>> {
-        let shared = &self.shared;
-        let mut inner = shared.inner.lock().expect("pipe lock");
-        if !inner.receiver_alive {
-            return Err(PipeSendError::Disconnected(value));
-        }
-        let mut outcome = SendOutcome::Enqueued;
-        if inner.queue.len() >= shared.capacity {
-            if shared.policy == OverflowPolicy::Block {
-                return Err(PipeSendError::Full(value));
-            }
-            outcome = shared.drop_policy_outcome(&mut inner);
-            if outcome == SendOutcome::Rejected {
-                return Ok(outcome);
-            }
-        }
-        shared.push_and_wake(inner, value);
-        Ok(outcome)
+        self.shared
+            .enqueue(value, &mut std::iter::empty(), false)
+            .map(BatchOutcome::single)
     }
 
     /// Sends every message in `batch`, taking the pipe lock once per
-    /// capacity window instead of once per message and firing at most one
-    /// wakeup per window. With room for the whole batch (the common case
-    /// on the invalidation plane, which runs unbounded) that is a single
-    /// lock acquisition and a single wakeup no matter how many messages
-    /// are enqueued — the producer-side complement of
-    /// [`PipeReceiver::recv_batch_async`].
+    /// capacity window instead of once per message and signalling the
+    /// receiver at most once per window. With room for the whole batch
+    /// (the common case on the invalidation plane, which runs unbounded)
+    /// that is a single lock acquisition and at most a single wakeup no
+    /// matter how many messages are enqueued — the producer-side
+    /// complement of [`PipeReceiver::recv_batch_async`].
     ///
     /// Overflow follows [`PipeSender::send`] per message: `Block` parks
     /// until a slot frees (the window already enqueued is signalled first,
     /// so a parked receiver always drains it), `DropNewest` rejects the
-    /// overflowing message, `DropOldest` evicts the head. Returns the
-    /// number of messages enqueued.
+    /// overflowing message, `DropOldest` evicts the head. The returned
+    /// [`BatchOutcome`] sums what happened over the whole batch.
+    ///
+    /// The iterator is advanced while the pipe lock is held, so pass a
+    /// cheap one (a slice iterator, a range) that never waits on another
+    /// sender of the same pipe; [`crate::LiveSender`] streams arbitrary
+    /// iterators through [`PipeSender::send`] for that reason.
     ///
     /// # Errors
     /// Returns [`PipeSendError::Disconnected`] carrying the first
     /// undelivered message when the receiver is gone; the rest of the
     /// batch is dropped.
-    pub fn send_batch<I>(&self, batch: I) -> Result<u64, PipeSendError<T>>
+    pub fn send_batch<I>(&self, batch: I) -> Result<BatchOutcome, PipeSendError<T>>
     where
         I: IntoIterator<Item = T>,
     {
-        let shared = &self.shared;
         let mut iter = batch.into_iter();
-        let mut pending: Option<T> = iter.next();
-        let mut total = 0u64;
-        while pending.is_some() {
-            let mut inner = shared.inner.lock().expect("pipe lock");
-            if shared.policy == OverflowPolicy::Block && inner.queue.len() >= shared.capacity {
-                shared.stats.stalled_sends.fetch_add(1, Ordering::Relaxed);
-                let started = Instant::now();
-                while inner.queue.len() >= shared.capacity && inner.receiver_alive {
-                    inner = shared.not_full.wait(inner).expect("pipe lock");
-                }
-                shared.stats.stall_micros.fetch_add(
-                    u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                    Ordering::Relaxed,
-                );
-            }
-            if !inner.receiver_alive {
-                return Err(PipeSendError::Disconnected(
-                    pending.take().expect("pending message"),
-                ));
-            }
-            let mut window = 0u64;
-            while let Some(value) = pending.take() {
-                if inner.queue.len() >= shared.capacity {
-                    if shared.policy == OverflowPolicy::Block {
-                        // Window closed: signal what we have, then park
-                        // for a slot on the next pass round the loop.
-                        pending = Some(value);
-                        break;
-                    }
-                    if shared.drop_policy_outcome(&mut inner) == SendOutcome::Rejected {
-                        pending = iter.next();
-                        continue;
-                    }
-                    // DropOldest freed a slot; fall through and enqueue.
-                }
-                inner.queue.push_back(value);
-                window += 1;
-                pending = iter.next();
-            }
-            let waker = if window == 0 {
-                None
-            } else {
-                shared.stats.enqueued.fetch_add(window, Ordering::Relaxed);
-                total += window;
-                shared.not_empty.notify_one();
-                if inner.wake_pending {
-                    shared.stats.coalesced_wakeups.fetch_add(1, Ordering::Relaxed);
-                    None
-                } else {
-                    match inner.recv_waker.take() {
-                        Some(w) => {
-                            inner.wake_pending = true;
-                            Some(w)
-                        }
-                        None => None,
-                    }
-                }
-            };
-            drop(inner);
-            if let Some(w) = waker {
-                w.wake();
-            }
+        match iter.next() {
+            Some(first) => self.shared.enqueue(first, &mut iter, true),
+            None => Ok(BatchOutcome::default()),
         }
-        Ok(total)
     }
 
     /// Number of messages currently queued.
     pub fn len(&self) -> usize {
-        self.shared.inner.lock().expect("pipe lock").queue.len()
+        self.shared.lock().queue.len()
     }
 
     /// Returns `true` if nothing is queued.
@@ -581,13 +638,13 @@ impl<T> PipeReceiver<T> {
     /// Receives without blocking; `None` means the pipe is currently empty
     /// (disconnection is reported by [`PipeReceiver::recv`]).
     pub fn try_recv(&self) -> Option<T> {
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
+        let mut inner = self.shared.lock();
         self.shared.pop(&mut inner)
     }
 
     /// Blocks until a message arrives or every sender is dropped (`None`).
     pub fn recv(&self) -> Option<T> {
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
+        let mut inner = self.shared.lock();
         loop {
             if let Some(v) = self.shared.pop(&mut inner) {
                 return Some(v);
@@ -595,7 +652,9 @@ impl<T> PipeReceiver<T> {
             if inner.senders == 0 {
                 return None;
             }
+            inner.blocked_receivers += 1;
             inner = self.shared.not_empty.wait(inner).expect("pipe lock");
+            inner.blocked_receivers -= 1;
         }
     }
 
@@ -604,7 +663,7 @@ impl<T> PipeReceiver<T> {
     /// [`PipeReceiver::is_disconnected`] to distinguish them.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<T> {
         let deadline = Instant::now() + timeout;
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
+        let mut inner = self.shared.lock();
         loop {
             if let Some(v) = self.shared.pop(&mut inner) {
                 return Some(v);
@@ -616,18 +675,20 @@ impl<T> PipeReceiver<T> {
             if now >= deadline {
                 return None;
             }
+            inner.blocked_receivers += 1;
             let (guard, _) = self
                 .shared
                 .not_empty
                 .wait_timeout(inner, deadline - now)
                 .expect("pipe lock");
             inner = guard;
+            inner.blocked_receivers -= 1;
         }
     }
 
     /// Drains every message currently queued without blocking.
     pub fn drain(&self) -> Vec<T> {
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
+        let mut inner = self.shared.lock();
         let mut out = Vec::with_capacity(inner.queue.len());
         while let Some(v) = self.shared.pop(&mut inner) {
             out.push(v);
@@ -640,7 +701,7 @@ impl<T> PipeReceiver<T> {
     /// for the whole batch and blocked senders are signalled once — this is
     /// the cheap path a batch-dequeuing apply task uses.
     pub fn drain_into(&self, buf: &mut Vec<T>, max: usize) -> usize {
-        let mut inner = self.shared.inner.lock().expect("pipe lock");
+        let mut inner = self.shared.lock();
         self.shared.pop_batch(&mut inner, buf, max)
     }
 
@@ -681,12 +742,12 @@ impl<T> PipeReceiver<T> {
 
     /// Returns `true` once every sender has been dropped.
     pub fn is_disconnected(&self) -> bool {
-        self.shared.inner.lock().expect("pipe lock").senders == 0
+        self.shared.lock().senders == 0
     }
 
     /// Number of messages currently queued.
     pub fn len(&self) -> usize {
-        self.shared.inner.lock().expect("pipe lock").queue.len()
+        self.shared.lock().queue.len()
     }
 
     /// Returns `true` if nothing is queued.
@@ -710,7 +771,7 @@ impl<T> Future for RecvFuture<'_, T> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let shared = &self.receiver.shared;
-        let mut inner = shared.inner.lock().expect("pipe lock");
+        let mut inner = shared.lock();
         inner.wake_pending = false;
         if let Some(v) = shared.pop(&mut inner) {
             return Poll::Ready(Some(v));
@@ -738,7 +799,7 @@ impl<T> Future for RecvBatchFuture<'_, T> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let shared = &this.receiver.shared;
-        let mut inner = shared.inner.lock().expect("pipe lock");
+        let mut inner = shared.lock();
         inner.wake_pending = false;
         let n = shared.pop_batch(&mut inner, this.buf, this.max);
         if n > 0 {
@@ -774,21 +835,26 @@ mod tests {
     #[test]
     fn send_batch_enqueues_everything_in_one_window() {
         let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
-        assert_eq!(tx.send_batch(0..100), Ok(100));
-        assert_eq!(tx.send_batch(std::iter::empty()), Ok(0));
+        let outcome = tx.send_batch(0..100).unwrap();
+        assert_eq!(outcome.enqueued, 100);
+        assert_eq!((outcome.lost, outcome.stalled), (0, false));
+        assert_eq!(tx.send_batch(std::iter::empty()), Ok(BatchOutcome::default()));
         assert_eq!(rx.drain(), (0..100).collect::<Vec<_>>());
         assert_eq!(tx.stats().enqueued, 100);
+        assert_eq!(tx.stats().send_windows, 1, "one lock window for the batch");
     }
 
     #[test]
     fn send_batch_applies_drop_policies_per_message() {
         let (tx, rx) = bounded_pipe::<u64>(2, OverflowPolicy::DropNewest);
-        assert_eq!(tx.send_batch(0..5), Ok(2), "only the window fits");
+        let outcome = tx.send_batch(0..5).unwrap();
+        assert_eq!((outcome.enqueued, outcome.lost), (2, 3), "only the window fits");
         assert_eq!(rx.drain(), vec![0, 1]);
         assert_eq!(rx.stats().rejected, 3);
 
         let (tx, rx) = bounded_pipe::<u64>(2, OverflowPolicy::DropOldest);
-        assert_eq!(tx.send_batch(0..5), Ok(5), "evictions still enqueue");
+        let outcome = tx.send_batch(0..5).unwrap();
+        assert_eq!((outcome.enqueued, outcome.lost), (5, 3), "evictions still enqueue");
         assert_eq!(rx.drain(), vec![3, 4]);
         assert_eq!(rx.stats().evicted, 3);
     }
@@ -801,7 +867,9 @@ mod tests {
         while got.len() < 64 {
             got.push(rx.recv().expect("sender alive until batch done"));
         }
-        assert_eq!(handle.join().unwrap(), Ok(64));
+        let outcome = handle.join().unwrap().unwrap();
+        assert_eq!(outcome.enqueued, 64);
+        assert!(outcome.stalled, "a 4-slot pipe cannot take 64 at once");
         assert_eq!(got, (0..64).collect::<Vec<_>>());
     }
 
@@ -964,6 +1032,7 @@ mod tests {
     fn stats_merge_accumulates() {
         let mut a = PipeStatsSnapshot {
             enqueued: 1,
+            send_windows: 1,
             rejected: 2,
             evicted: 3,
             received: 4,
@@ -976,6 +1045,7 @@ mod tests {
         };
         a.merge(a);
         assert_eq!(a.enqueued, 2);
+        assert_eq!(a.send_windows, 2);
         assert_eq!(a.stall_micros, 12);
         assert_eq!(a.overflow_dropped(), 10);
         assert_eq!(a.batched_polls, 4);
@@ -990,6 +1060,7 @@ mod tests {
     fn stats_merge_saturates_instead_of_wrapping() {
         let mut a = PipeStatsSnapshot {
             enqueued: u64::MAX - 1,
+            send_windows: u64::MAX,
             rejected: u64::MAX,
             evicted: u64::MAX,
             received: u64::MAX - 3,
@@ -1008,6 +1079,68 @@ mod tests {
         assert_eq!(a.stall_micros, u64::MAX);
         assert_eq!(a.overflow_dropped(), u64::MAX, "overflow sum saturates too");
         assert_eq!(a.max_drain, 5);
+    }
+
+    /// Runs `f` on its own thread and fails the test if it has not
+    /// finished within `limit` — a lost wakeup shows as a hang, not a
+    /// wrong value.
+    fn within<R: Send + 'static>(limit: Duration, f: impl FnOnce() -> R + Send + 'static) -> R {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = done_tx.send(f());
+        });
+        let result = done_rx
+            .recv_timeout(limit)
+            .expect("timed out: a blocked thread was never woken");
+        worker.join().unwrap();
+        result
+    }
+
+    const PING_PONG_ROUNDS: u64 = 100_000;
+
+    /// Both sides block in `recv` on every round, so every `send_batch`
+    /// must see its peer counted as a blocked receiver and signal it.
+    #[test]
+    fn blocking_recv_and_send_batch_ping_pong() {
+        within(Duration::from_secs(120), || {
+            let (ping_tx, ping_rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
+            let (pong_tx, pong_rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
+            let echo = std::thread::spawn(move || {
+                while let Some(v) = ping_rx.recv() {
+                    pong_tx.send_batch([v + 1]).unwrap();
+                }
+            });
+            for i in 0..PING_PONG_ROUNDS {
+                ping_tx.send_batch([i]).unwrap();
+                assert_eq!(pong_rx.recv(), Some(i + 1));
+            }
+            drop(ping_tx);
+            echo.join().unwrap();
+            assert_eq!(pong_rx.recv(), None, "echo dropped its sender");
+        });
+    }
+
+    /// A one-slot `Block` pipe: the sender stalls on `not_full` while the
+    /// receiver blocks on `not_empty`, so each side's progress depends on
+    /// the other's signal reaching a counted waiter.
+    #[test]
+    fn block_pipe_stall_ping_pong() {
+        let stats = within(Duration::from_secs(120), || {
+            let (tx, rx) = bounded_pipe::<u64>(1, OverflowPolicy::Block);
+            let producer = std::thread::spawn(move || {
+                for i in 0..PING_PONG_ROUNDS {
+                    tx.send(i).unwrap();
+                }
+            });
+            for i in 0..PING_PONG_ROUNDS {
+                assert_eq!(rx.recv(), Some(i));
+            }
+            producer.join().unwrap();
+            assert_eq!(rx.recv(), None);
+            rx.stats()
+        });
+        assert_eq!(stats.received, PING_PONG_ROUNDS);
+        assert_eq!(stats.send_windows, PING_PONG_ROUNDS);
     }
 
     #[test]

@@ -13,15 +13,23 @@
 //!
 //! * **Ready queue** — task ids whose wakers fired, drained FIFO each
 //!   iteration; cross-thread wakes park/unpark the reactor via a condvar.
+//!   The run loop sets a *sleeping* flag under the ready-queue lock just
+//!   before it waits, and wakers, timer registrations and shutdown notify
+//!   the condvar only when they find that flag set (clearing it, so a
+//!   burst of wakes costs one notify). A notify is a futex syscall even
+//!   with no waiter, and a reactor that is running or spinning needs none:
+//!   it sees the ready queue on its next iteration.
 //! * **Parked-task table** — every spawned task lives in a slab keyed by
 //!   [`TaskId`]; a task not in the ready queue is parked and consumes no
 //!   cycles until its waker fires.
 //! * **Timer wheel** — a min-heap of `(deadline, seq, waker)`; the reactor
-//!   sleeps exactly until the next deadline when no task is ready. Timer
-//!   durations use the same microsecond [`SimDuration`] arithmetic as the
-//!   latency models in [`crate::latency`] (one simulated microsecond maps
-//!   to one wall-clock microsecond), so a [`LatencyModel`] sample can be
-//!   slept on directly with [`TimerHandle::sleep_model`].
+//!   sleeps exactly until the next deadline when no task is ready, and an
+//!   iteration with no timer pending never reads the clock or takes the
+//!   timer lock. Timer durations use the same microsecond [`SimDuration`]
+//!   arithmetic as the latency models in [`crate::latency`] (one simulated
+//!   microsecond maps to one wall-clock microsecond), so a
+//!   [`LatencyModel`] sample can be slept on directly with
+//!   [`TimerHandle::sleep_model`].
 //!
 //! [`LatencyModel`]: crate::latency::LatencyModel
 
@@ -110,9 +118,21 @@ impl Ord for TimerEntry {
     }
 }
 
+/// The ready queue and the run loop's sleeping flag, guarded together by
+/// one lock so a waker can never miss the moment the loop goes to sleep.
+#[derive(Default)]
+struct ReadyQueue {
+    tasks: VecDeque<TaskId>,
+    /// Set by the run loop just before it waits on `parked`, cleared when
+    /// it wakes — or by the thread that wakes it, so a burst of wakes
+    /// costs one notify. `parked` is signalled only while this is set: a
+    /// condvar notify is a futex syscall even when nobody waits.
+    sleeping: bool,
+}
+
 /// State shared between the reactor thread, task wakers and handles.
 struct ReactorShared {
-    ready: Mutex<VecDeque<TaskId>>,
+    ready: Mutex<ReadyQueue>,
     /// Lock-free mirror of the ready queue's length, maintained under the
     /// `ready` lock. The run loop's pre-park spin polls this instead of
     /// re-taking the lock on every spin iteration.
@@ -120,6 +140,10 @@ struct ReactorShared {
     /// Parks the reactor thread while no task is ready and no timer is due.
     parked: Condvar,
     timers: Mutex<BinaryHeap<Reverse<TimerEntry>>>,
+    /// Lock-free mirror of the timer heap's length, maintained under the
+    /// `timers` lock, so an iteration with no timer pending skips the clock
+    /// read and the timer lock.
+    timers_pending: AtomicUsize,
     timer_seq: AtomicU64,
     shutdown: AtomicBool,
     counters: ReactorCounters,
@@ -128,11 +152,31 @@ struct ReactorShared {
 impl ReactorShared {
     fn push_ready(&self, id: TaskId) {
         let mut ready = self.ready.lock().expect("reactor lock");
-        ready.push_back(id);
-        self.ready_hint.store(ready.len(), Ordering::Release);
+        ready.tasks.push_back(id);
+        self.ready_hint.store(ready.tasks.len(), Ordering::Release);
         self.counters.wakes.fetch_add(1, Ordering::Relaxed);
+        let sleeping = std::mem::take(&mut ready.sleeping);
         drop(ready);
-        self.parked.notify_one();
+        if sleeping {
+            self.parked.notify_one();
+        }
+    }
+
+    /// Wakes the run loop if it is asleep, so it re-reads the timer heap.
+    fn unpark(&self) {
+        let sleeping = std::mem::take(&mut self.ready.lock().expect("reactor lock").sleeping);
+        if sleeping {
+            self.parked.notify_one();
+        }
+    }
+
+    /// The earliest pending timer deadline, if any.
+    fn next_deadline(&self) -> Option<Instant> {
+        if self.timers_pending.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let timers = self.timers.lock().expect("reactor lock");
+        timers.peek().map(|Reverse(e)| e.deadline)
     }
 }
 
@@ -177,6 +221,15 @@ impl Wake for TaskWaker {
 
 type BoxedTask = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
+/// One entry of the parked-task table.
+struct TaskSlot {
+    future: BoxedTask,
+    waker: Waker,
+    /// Scheduled flag shared with the waker; cleared just before each poll
+    /// so wakes arriving mid-poll re-enqueue the task.
+    scheduled: Arc<AtomicBool>,
+}
+
 /// The single-threaded reactor. Build it, [`Reactor::spawn`] tasks onto it,
 /// then move it to its thread and call [`Reactor::run`]. Keep a
 /// [`ReactorHandle`] (from [`Reactor::handle`]) to request shutdown and to
@@ -185,11 +238,10 @@ pub struct Reactor {
     shared: Arc<ReactorShared>,
     /// The parked-task table: every live task, keyed by id. Tasks absent
     /// from the ready queue sit here untouched until a waker fires.
-    tasks: HashMap<TaskId, BoxedTask>,
-    wakers: HashMap<TaskId, Waker>,
-    /// Per-task scheduled flags shared with the wakers; cleared just before
-    /// each poll so wakes arriving mid-poll re-enqueue the task.
-    scheduled: HashMap<TaskId, Arc<AtomicBool>>,
+    tasks: HashMap<TaskId, TaskSlot>,
+    /// The batch being polled, swapped with the ready queue each
+    /// iteration so neither buffer is reallocated.
+    batch: VecDeque<TaskId>,
     next_task: u64,
 }
 
@@ -212,17 +264,17 @@ impl Reactor {
     pub fn new() -> Self {
         Reactor {
             shared: Arc::new(ReactorShared {
-                ready: Mutex::new(VecDeque::new()),
+                ready: Mutex::new(ReadyQueue::default()),
                 ready_hint: AtomicUsize::new(0),
                 parked: Condvar::new(),
                 timers: Mutex::new(BinaryHeap::new()),
+                timers_pending: AtomicUsize::new(0),
                 timer_seq: AtomicU64::new(0),
                 shutdown: AtomicBool::new(false),
                 counters: ReactorCounters::default(),
             }),
             tasks: HashMap::new(),
-            wakers: HashMap::new(),
-            scheduled: HashMap::new(),
+            batch: VecDeque::new(),
             next_task: 0,
         }
     }
@@ -232,15 +284,20 @@ impl Reactor {
     pub fn spawn(&mut self, future: impl Future<Output = ()> + Send + 'static) -> TaskId {
         let id = TaskId(self.next_task);
         self.next_task += 1;
-        self.tasks.insert(id, Box::pin(future));
         let scheduled = Arc::new(AtomicBool::new(true));
         let waker = Waker::from(Arc::new(TaskWaker {
             id,
             shared: Arc::clone(&self.shared),
             scheduled: Arc::clone(&scheduled),
         }));
-        self.wakers.insert(id, waker);
-        self.scheduled.insert(id, scheduled);
+        self.tasks.insert(
+            id,
+            TaskSlot {
+                future: Box::pin(future),
+                waker,
+                scheduled,
+            },
+        );
         self.shared.counters.spawned.fetch_add(1, Ordering::Relaxed);
         self.shared.push_ready(id);
         id
@@ -267,8 +324,11 @@ impl Reactor {
     }
 
     /// Fires every timer whose deadline has passed; returns the next
-    /// pending deadline, if any.
+    /// pending deadline, if any. Free when no timer is pending.
     fn fire_due_timers(&self) -> Option<Instant> {
+        if self.shared.timers_pending.load(Ordering::Acquire) == 0 {
+            return None;
+        }
         let now = Instant::now();
         let mut due = Vec::new();
         let next = {
@@ -280,6 +340,9 @@ impl Reactor {
                 let Reverse(entry) = timers.pop().expect("peeked entry exists");
                 due.push(entry.waker);
             }
+            self.shared
+                .timers_pending
+                .store(timers.len(), Ordering::Release);
             timers.peek().map(|Reverse(e)| e.deadline)
         };
         self.shared
@@ -290,6 +353,33 @@ impl Reactor {
             waker.wake();
         }
         next
+    }
+
+    /// Parks the run loop until a waker fires, the next timer is due or
+    /// shutdown is requested. Everything is re-checked under the `ready`
+    /// lock, and every waking party takes that lock before reading the
+    /// sleeping flag, so no wakeup can slip between the check and the wait.
+    fn park(&self) {
+        let shared = &self.shared;
+        let mut ready = shared.ready.lock().expect("reactor lock");
+        if !ready.tasks.is_empty() || shared.shutdown.load(Ordering::Acquire) {
+            return;
+        }
+        // Read under the ready lock: a timer pushed after this read unparks
+        // the loop, because `Sleep::poll` takes the ready lock after pushing.
+        let deadline = shared.next_deadline();
+        if deadline.is_some_and(|d| d <= Instant::now()) {
+            return;
+        }
+        ready.sleeping = true;
+        ready = match deadline {
+            Some(d) => {
+                let timeout = d.saturating_duration_since(Instant::now());
+                shared.parked.wait_timeout(ready, timeout).expect("reactor lock").0
+            }
+            None => shared.parked.wait(ready).expect("reactor lock"),
+        };
+        ready.sleeping = false;
     }
 
     /// Runs the event loop until every task completes or
@@ -305,16 +395,15 @@ impl Reactor {
             }
             let next_deadline = self.fire_due_timers();
 
-            // Drain the current ready batch. Tasks woken while this batch
+            // Take the current ready batch. Tasks woken while this batch
             // runs land in the next batch.
-            let batch: Vec<TaskId> = {
+            {
                 let mut ready = self.shared.ready.lock().expect("reactor lock");
-                let batch = ready.drain(..).collect();
+                std::mem::swap(&mut ready.tasks, &mut self.batch);
                 self.shared.ready_hint.store(0, Ordering::Release);
-                batch
-            };
+            }
 
-            if batch.is_empty() {
+            if self.batch.is_empty() {
                 // Briefly spin on the lock-free ready hint before parking:
                 // a producer mid-burst refills the queue within
                 // microseconds, and a park/unpark round-trip (two futex
@@ -339,48 +428,22 @@ impl Reactor {
                         continue;
                     }
                 }
-                // Nothing ready: park until a waker fires or the next timer
-                // is due.
-                let guard = self.shared.ready.lock().expect("reactor lock");
-                if guard.is_empty() && !self.shared.shutdown.load(Ordering::Acquire) {
-                    match next_deadline {
-                        Some(deadline) => {
-                            let now = Instant::now();
-                            if deadline > now {
-                                drop(
-                                    self.shared
-                                        .parked
-                                        .wait_timeout(guard, deadline - now)
-                                        .expect("reactor lock"),
-                                );
-                            }
-                        }
-                        None => {
-                            drop(self.shared.parked.wait(guard).expect("reactor lock"));
-                        }
-                    }
-                }
+                self.park();
                 continue;
             }
 
-            for id in batch {
-                let Some(task) = self.tasks.get_mut(&id) else {
+            for id in self.batch.drain(..) {
+                let Some(slot) = self.tasks.get_mut(&id) else {
                     continue; // Spurious wake of a completed task.
                 };
                 // Clear the scheduled flag *before* polling: a wake that
                 // arrives mid-poll must re-enqueue the task or its signal
                 // would be lost.
-                self.scheduled
-                    .get(&id)
-                    .expect("scheduled flag exists")
-                    .store(false, Ordering::Release);
-                let waker = self.wakers.get(&id).expect("waker exists").clone();
-                let mut cx = Context::from_waker(&waker);
+                slot.scheduled.store(false, Ordering::Release);
+                let mut cx = Context::from_waker(&slot.waker);
                 self.shared.counters.polls.fetch_add(1, Ordering::Relaxed);
-                if let Poll::Ready(()) = task.as_mut().poll(&mut cx) {
+                if slot.future.as_mut().poll(&mut cx).is_ready() {
                     self.tasks.remove(&id);
-                    self.wakers.remove(&id);
-                    self.scheduled.remove(&id);
                     self.shared
                         .counters
                         .completed
@@ -407,8 +470,16 @@ impl ReactorHandle {
     /// Asks the reactor loop to exit after its current batch; pending tasks
     /// are abandoned. Idempotent.
     pub fn shutdown(&self) {
+        // The flag is set under the ready lock: the run loop checks it under
+        // that lock right before sleeping, so it either sees the flag or is
+        // already asleep (and flagged) when this wakes it.
+        let mut ready = self.shared.ready.lock().expect("reactor lock");
         self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.parked.notify_all();
+        let sleeping = std::mem::take(&mut ready.sleeping);
+        drop(ready);
+        if sleeping {
+            self.shared.parked.notify_all();
+        }
     }
 
     /// Returns `true` once shutdown has been requested.
@@ -517,16 +588,20 @@ impl Future for Sleep {
         // Re-register on every poll: wakers may change between polls, and a
         // stale duplicate entry merely re-polls the task once.
         let seq = self.shared.timer_seq.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .timers
-            .lock()
-            .expect("reactor lock")
-            .push(Reverse(TimerEntry {
+        {
+            let mut timers = self.shared.timers.lock().expect("reactor lock");
+            timers.push(Reverse(TimerEntry {
                 deadline: self.deadline,
                 seq,
                 waker: cx.waker().clone(),
             }));
-        self.shared.parked.notify_one();
+            self.shared
+                .timers_pending
+                .store(timers.len(), Ordering::Release);
+        }
+        // A loop asleep on a later deadline (or none) must re-read the heap;
+        // polled on the reactor thread itself this finds it awake and is free.
+        self.shared.unpark();
         Poll::Pending
     }
 }
@@ -672,6 +747,84 @@ mod tests {
         let stats = handle.stats();
         assert_eq!(stats.spawned, 1);
         assert_eq!(stats.completed, 0, "the parked task was abandoned");
+    }
+
+    /// Waits for `thread` to finish, failing the test after `limit` — a
+    /// reactor that missed its wakeup never returns from `run`.
+    fn join_within(
+        thread: std::thread::JoinHandle<()>,
+        done: &std::sync::mpsc::Receiver<()>,
+        limit: Duration,
+    ) {
+        done.recv_timeout(limit)
+            .expect("reactor never woke up: a wakeup was lost");
+        thread.join().unwrap();
+    }
+
+    /// Shutdown racing the run loop's way into its wait: the flag is set
+    /// under the ready lock, so the loop either sees it or is woken by it.
+    /// Every iteration must join promptly.
+    #[test]
+    fn shutdown_never_loses_the_wakeup() {
+        for round in 0..10_000u32 {
+            let mut reactor = Reactor::new();
+            let (tx, rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
+            reactor.spawn(async move {
+                let _ = rx.recv_async().await;
+            });
+            let handle = reactor.handle();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let thread = std::thread::spawn(move || {
+                reactor.run();
+                let _ = done_tx.send(());
+            });
+            // Vary where in the loop the shutdown lands: immediately,
+            // mid-spin, around the spin-to-park transition, or after the
+            // reactor has parked (the spin is SPIN_BEFORE_PARK pauses).
+            for _ in 0..(round % 100) * (SPIN_BEFORE_PARK / 40) {
+                std::hint::spin_loop();
+            }
+            handle.shutdown();
+            join_within(thread, &done_rx, Duration::from_secs(10));
+            drop(tx);
+        }
+    }
+
+    /// Cross-thread ping-pong through a reactor task: every round the
+    /// reactor runs dry and either spins or sleeps, and each message from
+    /// the driving thread must wake it.
+    #[test]
+    fn park_and_wake_ping_pong() {
+        const ROUNDS: u64 = 20_000;
+        let mut reactor = Reactor::new();
+        let (ping_tx, ping_rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
+        let (pong_tx, pong_rx) = bounded_pipe::<u64>(UNBOUNDED, OverflowPolicy::Block);
+        reactor.spawn(async move {
+            while let Some(v) = ping_rx.recv_async().await {
+                pong_tx.send(v + 1).unwrap();
+            }
+        });
+        let handle = reactor.handle();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            reactor.run();
+            let _ = done_tx.send(());
+        });
+        for i in 0..ROUNDS {
+            ping_tx.send(i).unwrap();
+            assert_eq!(
+                pong_rx.recv_timeout(Duration::from_secs(10)),
+                Some(i + 1),
+                "round {i}: the reactor missed a wake"
+            );
+        }
+        drop(ping_tx);
+        join_within(thread, &done_rx, Duration::from_secs(10));
+        let stats = handle.stats();
+        assert_eq!(stats.completed, 1);
+        // A ping that lands while the task is still running is drained
+        // without a wake, so only "some rounds parked" is deterministic.
+        assert!(stats.wakes > 1, "the parked task was woken across threads");
     }
 
     #[test]

@@ -1,19 +1,132 @@
 //! The global version history assembled from committed update transactions.
+//!
+//! # Layout
+//!
+//! Every committed update gets an *ordinal*: its index in arrival order.
+//! The history keeps one [`TxnId`] per ordinal and one `ObjectLog` per
+//! object, in a single map keyed by [`ObjectId`]. An object's log holds
+//!
+//! * its installed versions in increasing order, each with the ordinal of
+//!   the update that installed it, and
+//! * the ordinals of the updates that read the object's *latest* version
+//!   (the version the next write will overwrite).
+//!
+//! So one map probe answers everything an access `(object, version)`
+//! needs: who wrote that version, which write came next, and which version
+//! is the latest. The readers-of-latest list is maintained by
+//! [`crate::sgt::SerializationGraph`], which consumes it when the next write
+//! of the object arrives.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use tcache_types::{ObjectId, TxnId, Version};
+
+/// Index of an update in arrival order.
+pub(crate) type Ordinal = u32;
+
+/// A multiply-xor hasher for program-assigned integer keys ([`ObjectId`]s
+/// and ordinals).
+///
+/// It gives no protection against keys crafted to collide, which is why it
+/// is used only for ids the program assigns itself: the monitor is an
+/// experiment oracle and never hashes input from outside the program.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`IdHasher`]s for the monitor's maps and sets.
+pub(crate) type IdBuildHasher = BuildHasherDefault<IdHasher>;
+
+/// One object's write history and the readers of its latest version.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct ObjectLog {
+    /// Installed versions in increasing order, with the installing update.
+    versions: Vec<(Version, Ordinal)>,
+    /// Updates that read the latest version; consumed by the next write.
+    pub(crate) latest_readers: Vec<Ordinal>,
+}
+
+/// What an access `(object, version)` sees in the object's log.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Seen {
+    /// The update that installed exactly `version` (`None` for the initial
+    /// version and for versions never installed).
+    pub(crate) writer: Option<Ordinal>,
+    /// The next installed version after `version`, with its writer.
+    pub(crate) next: Option<(Version, Ordinal)>,
+}
+
+impl ObjectLog {
+    /// Writer and next write for `version`, from one binary search.
+    pub(crate) fn seen(&self, version: Version) -> Seen {
+        let idx = self.versions.partition_point(|&(v, _)| v <= version);
+        let writer = idx
+            .checked_sub(1)
+            .map(|i| self.versions[i])
+            .filter(|&(v, _)| v == version)
+            .map(|(_, ord)| ord);
+        Seen {
+            writer,
+            next: self.versions.get(idx).copied(),
+        }
+    }
+
+    /// The latest installed version (initial if never written).
+    pub(crate) fn latest(&self) -> Version {
+        self.versions.last().map_or(Version::INITIAL, |&(v, _)| v)
+    }
+
+    /// The update that installed the latest version, if any.
+    pub(crate) fn latest_writer(&self) -> Option<Ordinal> {
+        self.versions.last().map(|&(_, ord)| ord)
+    }
+
+    /// Records that update `ord` installed `version`. Versions arrive in
+    /// increasing order in normal operation; the list stays sorted even if
+    /// they do not, and a version installed twice keeps its first writer.
+    pub(crate) fn install(&mut self, version: Version, ord: Ordinal) {
+        if self.versions.last().is_none_or(|&(v, _)| v < version) {
+            self.versions.push((version, ord));
+            return;
+        }
+        let pos = self.versions.partition_point(|&(v, _)| v < version);
+        if self.versions.get(pos).map(|&(v, _)| v) != Some(version) {
+            self.versions.insert(pos, (version, ord));
+        }
+    }
+}
 
 /// Per-object write history: which transaction installed which version.
 ///
 /// Update transactions are serializable in version order (the database
 /// assigns each transaction a version larger than everything it observed),
 /// so this history is the reference against which read-only transactions are
-/// judged.
+/// judged. See the [module docs](self) for the layout.
 #[derive(Debug, Default, Clone)]
 pub struct VersionHistory {
-    /// For every object, the installed versions in increasing order,
-    /// together with the writing transaction.
-    writes: HashMap<ObjectId, Vec<(Version, TxnId)>>,
+    /// Every object that was written or whose latest version was read.
+    objects: HashMap<ObjectId, ObjectLog, IdBuildHasher>,
+    /// The transaction behind each ordinal.
+    txns: Vec<TxnId>,
 }
 
 impl VersionHistory {
@@ -24,54 +137,88 @@ impl VersionHistory {
 
     /// Records that `txn` installed `version` of `object`.
     pub fn record_write(&mut self, object: ObjectId, version: Version, txn: TxnId) {
-        let versions = self.writes.entry(object).or_default();
-        // Versions arrive in increasing order in normal operation; keep the
-        // vector sorted even if records arrive out of order.
-        let pos = versions
-            .binary_search_by_key(&version, |&(v, _)| v)
-            .unwrap_or_else(|p| p);
-        if versions.get(pos).map(|&(v, _)| v) != Some(version) {
-            versions.insert(pos, (version, txn));
-        }
+        let ord = self.push_txn(txn);
+        self.log_mut(object).install(version, ord);
+    }
+
+    /// Assigns the next ordinal to `txn`.
+    pub(crate) fn push_txn(&mut self, txn: TxnId) -> Ordinal {
+        let ord = Ordinal::try_from(self.txns.len()).expect("fewer than 2^32 update transactions");
+        self.txns.push(txn);
+        ord
+    }
+
+    /// The transaction behind ordinal `ord`.
+    pub(crate) fn txn(&self, ord: Ordinal) -> TxnId {
+        self.txns[ord as usize]
+    }
+
+    /// The log of `object`, created empty if absent.
+    pub(crate) fn log_mut(&mut self, object: ObjectId) -> &mut ObjectLog {
+        self.objects.entry(object).or_default()
+    }
+
+    /// What an access `(object, version)` sees (nothing for unknown
+    /// objects).
+    pub(crate) fn seen(&self, object: ObjectId, version: Version) -> Seen {
+        self.objects
+            .get(&object)
+            .map_or(Seen::default(), |log| log.seen(version))
+    }
+
+    /// The writer of the largest installed version of `object` strictly
+    /// smaller than `version`.
+    pub(crate) fn writer_before(&self, object: ObjectId, version: Version) -> Option<TxnId> {
+        let log = self.objects.get(&object)?;
+        let idx = log.versions.partition_point(|&(v, _)| v < version);
+        let (_, ord) = *log.versions.get(idx.checked_sub(1)?)?;
+        Some(self.txn(ord))
     }
 
     /// The transaction that wrote `version` of `object`
     /// (`None` for the initial version or unknown objects).
     pub fn writer_of(&self, object: ObjectId, version: Version) -> Option<TxnId> {
-        self.writes.get(&object).and_then(|versions| {
-            versions
-                .binary_search_by_key(&version, |&(v, _)| v)
-                .ok()
-                .map(|i| versions[i].1)
-        })
+        self.seen(object, version).writer.map(|ord| self.txn(ord))
     }
 
     /// The smallest installed version of `object` strictly greater than
     /// `version`, together with its writer. `None` if `version` is (still)
     /// the latest.
     pub fn next_write_after(&self, object: ObjectId, version: Version) -> Option<(Version, TxnId)> {
-        self.writes.get(&object).and_then(|versions| {
-            let idx = versions.partition_point(|&(v, _)| v <= version);
-            versions.get(idx).copied()
-        })
+        self.seen(object, version)
+            .next
+            .map(|(v, ord)| (v, self.txn(ord)))
     }
 
     /// The latest installed version of `object` (initial if never written).
     pub fn latest_version(&self, object: ObjectId) -> Version {
-        self.writes
+        self.objects
             .get(&object)
-            .and_then(|v| v.last().map(|&(ver, _)| ver))
-            .unwrap_or(Version::INITIAL)
+            .map_or(Version::INITIAL, ObjectLog::latest)
     }
 
     /// Number of objects with at least one recorded write.
     pub fn written_objects(&self) -> usize {
-        self.writes.len()
+        // Objects read only at their initial version have a log with no
+        // versions; they were never written.
+        self.objects
+            .values()
+            .filter(|log| !log.versions.is_empty())
+            .count()
     }
 
     /// Total number of recorded writes.
     pub fn total_writes(&self) -> usize {
-        self.writes.values().map(Vec::len).sum()
+        self.objects.values().map(|log| log.versions.len()).sum()
+    }
+
+    /// Number of `(object, reader)` entries in the readers-of-latest lists.
+    #[cfg(test)]
+    pub(crate) fn reader_entries(&self) -> usize {
+        self.objects
+            .values()
+            .map(|log| log.latest_readers.len())
+            .sum()
     }
 
     /// Decides whether a set of reads `(object, version)` is consistent:
@@ -84,30 +231,21 @@ impl VersionHistory {
     /// Reads of versions that were never installed (other than the initial
     /// version) are inconsistent by definition.
     pub fn reads_consistent(&self, reads: &[(ObjectId, Version)]) -> bool {
-        if reads.is_empty() {
-            return true;
-        }
         let mut max_read = Version::INITIAL;
         let mut min_next: Option<Version> = None;
         for &(object, version) in reads {
+            let seen = self.seen(object, version);
             // The read version must exist: either the initial version or an
             // installed one.
-            if version != Version::INITIAL && self.writer_of(object, version).is_none() {
+            if version != Version::INITIAL && seen.writer.is_none() {
                 return false;
             }
             max_read = max_read.max(version);
-            if let Some((next, _)) = self.next_write_after(object, version) {
-                min_next = Some(match min_next {
-                    None => next,
-                    Some(m) if next < m => next,
-                    Some(m) => m,
-                });
+            if let Some((next, _)) = seen.next {
+                min_next = Some(min_next.map_or(next, |m| m.min(next)));
             }
         }
-        match min_next {
-            None => true,
-            Some(next) => max_read < next,
-        }
+        min_next.is_none_or(|next| max_read < next)
     }
 }
 
@@ -156,6 +294,22 @@ mod tests {
         h.record_write(o(1), v(2), TxnId(1));
         assert_eq!(h.total_writes(), 2);
         assert_eq!(h.next_write_after(o(1), v(2)), Some((v(5), TxnId(2))));
+        // A version installed twice keeps its first writer.
+        h.record_write(o(1), v(5), TxnId(3));
+        assert_eq!(h.writer_of(o(1), v(5)), Some(TxnId(2)));
+        assert_eq!(h.total_writes(), 2);
+    }
+
+    #[test]
+    fn objects_with_empty_logs_are_not_written() {
+        let mut h = sample_history();
+        // A log created for reading an object at its initial version holds
+        // no versions: the object was never written.
+        h.log_mut(o(7)).latest_readers.push(0);
+        assert_eq!(h.written_objects(), 2);
+        assert_eq!(h.total_writes(), 4);
+        assert_eq!(h.latest_version(o(7)), Version::INITIAL);
+        assert!(h.reads_consistent(&[(o(7), Version::INITIAL), (o(1), v(5))]));
     }
 
     #[test]

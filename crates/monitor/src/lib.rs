@@ -21,6 +21,12 @@
 //!   Property tests assert the one-sided relationship between the two
 //!   checkers (interval-consistent ⇒ SGT-consistent) that makes this
 //!   layering sound.
+//!
+//! Both checkers share one flat layout indexed by each update's arrival
+//! *ordinal*: a single map from object to its log of `(version, ordinal)`
+//! writes and readers of its latest version ([`history`]), and per-ordinal
+//! nodes plus one access arena for the graph ([`sgt`]). Each tier probes
+//! the map once per object read.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

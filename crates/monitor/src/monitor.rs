@@ -25,7 +25,11 @@
 //! than everything the transaction could have read), so each transaction is
 //! classified the moment it is reported. Per-read-only-transaction state is
 //! dropped immediately; the update history grows with the run, as any exact
-//! oracle's must.
+//! oracle's must. Per committed update it retains the transaction id, one
+//! graph node (installed version and successor ordinals), the update's
+//! reads and writes in a flat arena, and one version-log entry per write
+//! (see [`crate::sgt`] for the layout). Each tier probes the per-object map
+//! once per object read.
 
 use crate::history::VersionHistory;
 use crate::report::{MonitorReport, ReadPhase, TransactionClass};

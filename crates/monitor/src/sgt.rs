@@ -12,10 +12,34 @@
 //! placement in *commit order*; property tests below verify that it is
 //! conservative with respect to this exact checker (interval-consistent ⇒
 //! SGT-consistent).
+//!
+//! # Layout
+//!
+//! Updates are identified by their arrival *ordinal* (see
+//! [`crate::history`]), and everything per update is indexed by it: a node
+//! holding the version the update installed and its successor ordinals, and
+//! a range of one flat arena holding the update's writes and reads. Per
+//! committed update the graph retains that node, the [`TxnId`], the
+//! accesses (16 bytes each) and one `(version, ordinal)` entry per write in
+//! the version history; no record is cloned and no per-version map is kept.
+//!
+//! # Readers of the latest version
+//!
+//! An update `U` that read version `v` of object `o` precedes the update
+//! that overwrote `v` (a read→write anti-dependency). If `v` was already
+//! overwritten when `U` arrives, the overwriter is in the history and the
+//! edge is added at once. Otherwise `v` is `o`'s latest version, and `U`
+//! joins `o`'s readers-of-latest list, which the next write of `o` drains
+//! into edges. Under version order that list is all the index needs: an
+//! object's latest version only grows, so a version that is not the latest
+//! when read never becomes the latest again and no later write could
+//! consume a reader of it. A read of a version that was never installed
+//! breaks version order and routes queries through the rebuild (below),
+//! which does not use the list.
 
 use crate::graph::DiGraph;
-use crate::history::VersionHistory;
-use std::collections::{HashMap, HashSet};
+use crate::history::{IdBuildHasher, Ordinal, VersionHistory};
+use std::collections::HashSet;
 use tcache_types::{ObjectId, TransactionRecord, TxnId, Version};
 
 /// A node of the serialization graph.
@@ -28,9 +52,23 @@ pub enum Node {
     Txn(TxnId),
 }
 
+/// One committed update, indexed by its ordinal.
+#[derive(Debug)]
+struct UpdateNode {
+    /// The (max) version the update installed.
+    version: Version,
+    /// Update→update successor ordinals, maintained incrementally.
+    succ: Vec<Ordinal>,
+    /// `accesses[start..split]` are the update's writes and
+    /// `accesses[split..end]` its reads.
+    start: usize,
+    split: usize,
+    end: usize,
+}
+
 /// A serialization graph built from a history of committed transactions.
 ///
-/// Besides the record list that [`SerializationGraph::read_only_consistent`]
+/// Besides the access arena that [`SerializationGraph::read_only_consistent`]
 /// rebuilds a [`DiGraph`] from, the graph maintains its update→update edges
 /// **incrementally** as records arrive (edges from a transaction's version
 /// predecessors and readers-of-overwritten-versions). When records arrive in
@@ -41,30 +79,40 @@ pub enum Node {
 /// queries with a version-bounded reachability search instead of an O(n)
 /// graph rebuild. Out-of-order records flip a flag that routes fast queries
 /// through the exact rebuild path instead.
+///
+/// Each [`SerializationGraph::add_update`] call is one node: update
+/// transaction ids are expected to be unique, as the database assigns them.
 #[derive(Debug, Default)]
 pub struct SerializationGraph {
     history: VersionHistory,
-    /// Full records, retained to serve the exact rebuild path
-    /// ([`SerializationGraph::read_only_consistent`] and the out-of-order
-    /// fallback of the fast query). Retention cannot be deferred until
-    /// `out_of_order` flips: the rebuild needs every record from the start
-    /// of the history, so dropping early records would silently break the
-    /// fallback. Memory is the same order as the adjacency lists
-    /// (per-record reads + writes); histories beyond what a process should
+    /// One node per committed update, indexed by ordinal.
+    nodes: Vec<UpdateNode>,
+    /// Every update's writes then reads, in arrival order. Retained to serve
+    /// the exact rebuild path ([`SerializationGraph::read_only_consistent`]
+    /// and the out-of-order fallback of the fast query). Retention cannot be
+    /// deferred until `out_of_order` flips: the rebuild needs every update
+    /// from the start of the history. Histories beyond what a process should
     /// retain belong in an external log, not this in-memory oracle.
-    updates: Vec<TransactionRecord>,
-    /// Update→update successor lists, maintained incrementally.
-    adjacency: HashMap<TxnId, Vec<TxnId>>,
-    /// The (max) version each update transaction installed.
-    txn_version: HashMap<TxnId, Version>,
-    /// Which update transactions read each installed `(object, version)`
-    /// pair; consulted to add read→overwriter anti-dependency edges when
-    /// the overwrite arrives.
-    readers: HashMap<(ObjectId, Version), Vec<TxnId>>,
+    accesses: Vec<(ObjectId, Version)>,
     /// Set when an edge or record arrives out of version order, breaking
     /// the invariant the fast query's pruning relies on; fast queries then
     /// take the exact rebuild path instead.
     out_of_order: bool,
+}
+
+/// Adds the edge `from → to` to the incremental adjacency, flagging an edge
+/// that does not increase the version.
+fn add_edge(nodes: &mut [UpdateNode], out_of_order: &mut bool, from: Ordinal, to: Ordinal) {
+    if from == to {
+        return;
+    }
+    if nodes[from as usize].version >= nodes[to as usize].version {
+        *out_of_order = true;
+    }
+    let succ = &mut nodes[from as usize].succ;
+    if !succ.contains(&to) {
+        succ.push(to);
+    }
 }
 
 impl SerializationGraph {
@@ -82,69 +130,61 @@ impl SerializationGraph {
             .map(|&(_, v)| v)
             .max()
             .unwrap_or(Version::INITIAL);
-        self.txn_version.insert(record.id, version);
+        let me = self.history.push_txn(record.id);
+        let start = self.accesses.len();
+        self.accesses.extend_from_slice(&record.writes);
+        let split = self.accesses.len();
+        self.accesses.extend_from_slice(&record.reads);
+        self.nodes.push(UpdateNode {
+            version,
+            succ: Vec::new(),
+            start,
+            split,
+            end: self.accesses.len(),
+        });
 
+        let SerializationGraph {
+            history,
+            nodes,
+            out_of_order,
+            ..
+        } = self;
         for &(object, version) in &record.writes {
             // Incremental edges, derived before the write enters the
             // history: the previous writer precedes this transaction, and
             // so does everything that read the version being overwritten.
-            let prev = self.history.latest_version(object);
-            if version < prev {
-                self.out_of_order = true;
+            let log = history.log_mut(object);
+            if version < log.latest() {
+                *out_of_order = true;
             }
-            if let Some(writer) = self.history.writer_of(object, prev) {
-                self.add_adjacency(writer, record.id);
+            if let Some(writer) = log.latest_writer() {
+                add_edge(nodes, out_of_order, writer, me);
             }
-            // In-order, nothing reads a version after it is overwritten, so
-            // the reader list can be consumed (freeing it) rather than
-            // cloned; a late out-of-order reader flips `out_of_order` and
-            // queries fall back to the rebuild, which ignores this index.
-            if let Some(readers) = self.readers.remove(&(object, prev)) {
-                for reader in readers {
-                    self.add_adjacency(reader, record.id);
-                }
+            for reader in log.latest_readers.drain(..) {
+                add_edge(nodes, out_of_order, reader, me);
             }
-            self.history.record_write(object, version, record.id);
+            log.install(version, me);
         }
 
         for &(object, version) in &record.reads {
-            match self.history.writer_of(object, version) {
-                Some(writer) if writer != record.id => {
-                    self.add_adjacency(writer, record.id);
-                }
-                Some(_) => {}
+            let log = history.log_mut(object);
+            let seen = log.seen(version);
+            match seen.writer {
+                Some(writer) => add_edge(nodes, out_of_order, writer, me),
                 None if version != Version::INITIAL => {
                     // An update claiming to have read a version that was
                     // never installed: the incremental reader index cannot
                     // model it, so route fast queries through the rebuild.
-                    self.out_of_order = true;
+                    *out_of_order = true;
                 }
                 None => {}
             }
-            if let Some((_, next)) = self.history.next_write_after(object, version) {
-                if next != record.id {
-                    self.add_adjacency(record.id, next);
-                }
+            if let Some((_, next)) = seen.next {
+                add_edge(nodes, out_of_order, me, next);
             }
-            self.readers.entry((object, version)).or_default().push(record.id);
-        }
-
-        self.updates.push(record.clone());
-    }
-
-    fn add_adjacency(&mut self, from: TxnId, to: TxnId) {
-        if from == to {
-            return;
-        }
-        let (fv, tv) = (self.txn_version.get(&from), self.txn_version.get(&to));
-        if let (Some(fv), Some(tv)) = (fv, tv) {
-            if fv >= tv {
-                self.out_of_order = true;
+            if version == log.latest() {
+                log.latest_readers.push(me);
             }
-        }
-        let succ = self.adjacency.entry(from).or_default();
-        if !succ.contains(&to) {
-            succ.push(to);
         }
     }
 
@@ -161,13 +201,14 @@ impl SerializationGraph {
 
         // Write-write and write-read edges among update transactions follow
         // version order per object.
-        for record in &self.updates {
-            let node = Node::Txn(record.id);
+        for (ord, update) in self.nodes.iter().enumerate() {
+            let node = Node::Txn(self.history.txn(ord as Ordinal));
             g.add_node(node);
-            for &(object, version) in &record.writes {
+            for &(object, version) in &self.accesses[update.start..update.split] {
                 // Edge from the previous writer of this object.
                 let prev_writer = self
-                    .previous_writer(object, version)
+                    .history
+                    .writer_before(object, version)
                     .map(Node::Txn)
                     .unwrap_or(Node::Initial);
                 g.add_edge(prev_writer, node);
@@ -176,7 +217,7 @@ impl SerializationGraph {
                     g.add_edge(node, Node::Txn(next));
                 }
             }
-            for &(object, version) in &record.reads {
+            for &(object, version) in &self.accesses[update.split..update.end] {
                 let writer = self
                     .history
                     .writer_of(object, version)
@@ -212,21 +253,6 @@ impl SerializationGraph {
         g
     }
 
-    fn previous_writer(&self, object: ObjectId, version: Version) -> Option<TxnId> {
-        // The writer of the largest installed version strictly smaller than
-        // `version`.
-        let mut best: Option<(Version, TxnId)> = None;
-        let mut cursor = Version::INITIAL;
-        while let Some((v, t)) = self.history.next_write_after(object, cursor) {
-            if v >= version {
-                break;
-            }
-            best = Some((v, t));
-            cursor = v;
-        }
-        best.map(|(_, t)| t)
-    }
-
     /// Returns `true` if the update history together with the given
     /// read-only transaction is serializable (the graph is acyclic).
     pub fn read_only_consistent(&self, candidate: TxnId, reads: &[(ObjectId, Version)]) -> bool {
@@ -259,57 +285,56 @@ impl SerializationGraph {
             // unsound on a non-version-ordered edge set.
             return self.read_only_consistent(TxnId(u64::MAX), reads);
         }
-        let mut predecessors: HashSet<TxnId> = HashSet::new();
-        let mut successors: HashSet<TxnId> = HashSet::new();
+        let mut predecessors: Vec<Ordinal> = Vec::with_capacity(reads.len());
+        let mut successors: Vec<Ordinal> = Vec::with_capacity(reads.len());
         for &(object, version) in reads {
-            match self.history.writer_of(object, version) {
-                Some(writer) => {
-                    predecessors.insert(writer);
-                }
+            let seen = self.history.seen(object, version);
+            match seen.writer {
+                Some(writer) => predecessors.push(writer),
                 None if version != Version::INITIAL => return false,
                 None => {}
             }
-            if let Some((_, next)) = self.history.next_write_after(object, version) {
-                successors.insert(next);
+            if let Some((_, next)) = seen.next {
+                successors.push(next);
             }
         }
         if successors.is_empty() || predecessors.is_empty() {
             // R has no outgoing (or no incoming) edges: no cycle through R.
             return true;
         }
+        let version = |ord: Ordinal| self.nodes[ord as usize].version;
         let horizon = predecessors
             .iter()
-            .filter_map(|p| self.txn_version.get(p))
+            .map(|&p| version(p))
             .max()
-            .copied()
             .unwrap_or(Version::INITIAL);
+        predecessors.sort_unstable();
+        predecessors.dedup();
+        let is_predecessor = |ord: Ordinal| predecessors.binary_search(&ord).is_ok();
 
-        // BFS from every successor, pruned to versions <= horizon.
-        let mut queue: Vec<TxnId> = Vec::new();
-        let mut visited: HashSet<TxnId> = HashSet::new();
+        // DFS from every successor, pruned to versions <= horizon.
+        let mut visited: HashSet<Ordinal, IdBuildHasher> = HashSet::default();
+        let mut stack: Vec<Ordinal> = Vec::new();
         for &s in &successors {
-            if self.txn_version.get(&s).is_some_and(|&v| v <= horizon) {
-                if predecessors.contains(&s) {
+            if version(s) <= horizon {
+                if is_predecessor(s) {
                     return false;
                 }
                 if visited.insert(s) {
-                    queue.push(s);
+                    stack.push(s);
                 }
             }
         }
-        while let Some(txn) = queue.pop() {
-            let Some(succ) = self.adjacency.get(&txn) else {
-                continue;
-            };
-            for &next in succ {
-                if self.txn_version.get(&next).is_none_or(|&v| v > horizon) {
+        while let Some(ord) = stack.pop() {
+            for &next in &self.nodes[ord as usize].succ {
+                if version(next) > horizon {
                     continue;
                 }
-                if predecessors.contains(&next) {
+                if is_predecessor(next) {
                     return false;
                 }
                 if visited.insert(next) {
-                    queue.push(next);
+                    stack.push(next);
                 }
             }
         }
@@ -440,6 +465,61 @@ mod tests {
     }
 
     #[test]
+    fn reader_edges_close_cycles() {
+        let record = |id: u64, reads: &[(u64, u64)], writes: &[(u64, u64)]| {
+            TransactionRecord::update_committed(
+                TxnId(id),
+                reads.iter().map(|&(obj, ver)| (o(obj), v(ver))).collect(),
+                writes.iter().map(|&(obj, ver)| (o(obj), v(ver))).collect(),
+                SimTime::ZERO,
+            )
+        };
+        // u1 writes o1 and o2; u2 reads o2@1 (the latest) and writes o3;
+        // u3 overwrites o2. The read gives u2 → u3, an edge only the
+        // readers-of-latest list can supply: u2 and u3 write no common
+        // object.
+        let mut g = SerializationGraph::new();
+        g.add_update(&record(1, &[(1, 0), (2, 0)], &[(1, 1), (2, 1)]));
+        g.add_update(&record(2, &[(2, 1), (3, 0)], &[(3, 2)]));
+        g.add_update(&record(3, &[(2, 1)], &[(2, 3)]));
+        // R reads o3 before u2 (R → u2) and o2 from u3 (u3 → R):
+        // R → u2 → u3 → R.
+        let reads = [(o(3), v(0)), (o(2), v(3))];
+        assert!(!g.read_only_consistent(TxnId(100), &reads));
+        assert!(!g.read_only_consistent_fast(&reads));
+        // Without u2's read of o2, u2 and u3 commute and R is placeable.
+        let mut g = SerializationGraph::new();
+        g.add_update(&record(1, &[(1, 0), (2, 0)], &[(1, 1), (2, 1)]));
+        g.add_update(&record(2, &[(3, 0)], &[(3, 2)]));
+        g.add_update(&record(3, &[(2, 1)], &[(2, 3)]));
+        assert!(g.read_only_consistent(TxnId(100), &reads));
+        assert!(g.read_only_consistent_fast(&reads));
+    }
+
+    #[test]
+    fn read_modify_write_updates_leave_no_reader_entries() {
+        // Each update reads the version it overwrites. Once the write has
+        // happened that version is no longer the latest, so no later write
+        // could consume a reader entry for it and none may be kept.
+        let mut g = SerializationGraph::new();
+        for i in 1..=10_000u64 {
+            g.add_update(&update(i, i, &[1]));
+        }
+        assert!(g.history().reader_entries() <= 1);
+        assert_eq!(g.history().total_writes(), 10_000);
+        // A pure read of the latest version is kept until the overwrite.
+        g.add_update(&TransactionRecord::update_committed(
+            TxnId(10_001),
+            vec![(o(1), v(10_000))],
+            vec![(o(2), v(10_001))],
+            SimTime::ZERO,
+        ));
+        assert_eq!(g.history().reader_entries(), 1);
+        g.add_update(&update(10_002, 10_002, &[1]));
+        assert_eq!(g.history().reader_entries(), 0);
+    }
+
+    #[test]
     fn longer_update_chains_stay_serializable() {
         let mut g = SerializationGraph::new();
         for i in 1..=50u64 {
@@ -567,6 +647,110 @@ mod proptests {
                 .collect();
             prop_assert!(sgt.history().reads_consistent(&reads));
             prop_assert!(sgt.read_only_consistent(TxnId(9999), &reads));
+        }
+    }
+
+    /// One update: the objects it writes and `(object, raw, kind)` pure
+    /// reads of objects it may not write.
+    type UpdateSpec = (Vec<u64>, Vec<(u64, u64, u64)>);
+
+    /// An update history in which updates also read objects they do not
+    /// write.
+    fn arb_history_with_reads() -> impl Strategy<Value = Vec<UpdateSpec>> {
+        prop::collection::vec(
+            (
+                prop::collection::vec(0u64..6, 1..4),
+                prop::collection::vec((0u64..6, 0u64..16, 0u64..4), 0..3),
+            ),
+            1..12,
+        )
+    }
+
+    /// Maps `raw` onto a version installed for the object, or the initial
+    /// version.
+    fn clamp(installed: &[Version], raw: u64) -> Version {
+        let idx = raw as usize % (installed.len() + 1);
+        installed.get(idx).copied().unwrap_or(Version::INITIAL)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The incremental reachability query, and the monitor's two-tier
+        /// verdict, agree with the exact graph rebuild on histories whose
+        /// updates read objects they do not write — the reads that feed the
+        /// readers-of-latest index. Pure reads are at the latest version
+        /// half the time, otherwise at any installed version or the initial
+        /// one (a stale read, which breaks version order and routes the
+        /// fast query through the rebuild). Candidate reads observe
+        /// installed versions only. Enough cases run that dropping the
+        /// readers-of-latest edges fails the test.
+        #[test]
+        fn fast_query_matches_rebuild_with_pure_reads(
+            history in arb_history_with_reads(),
+            reads in prop::collection::vec((0u64..6, 0u64..16), 1..5),
+        ) {
+            let mut sgt = SerializationGraph::new();
+            let mut monitor = crate::monitor::ConsistencyMonitor::new();
+            let mut installed: std::collections::HashMap<u64, Vec<Version>> = Default::default();
+            for (i, (objects, pure)) in history.iter().enumerate() {
+                let version = Version(i as u64 + 1);
+                let mut distinct = objects.clone();
+                distinct.sort();
+                distinct.dedup();
+                let latest = |o: &u64| {
+                    installed
+                        .get(o)
+                        .and_then(|vs| vs.last().copied())
+                        .unwrap_or(Version::INITIAL)
+                };
+                let mut update_reads: Vec<(ObjectId, Version)> =
+                    distinct.iter().map(|o| (ObjectId(*o), latest(o))).collect();
+                for &(o, raw, kind) in pure {
+                    if distinct.contains(&o) {
+                        continue;
+                    }
+                    let seen = if kind < 2 {
+                        latest(&o)
+                    } else {
+                        clamp(installed.get(&o).map(Vec::as_slice).unwrap_or(&[]), raw)
+                    };
+                    update_reads.push((ObjectId(o), seen));
+                }
+                let record = TransactionRecord::update_committed(
+                    TxnId(i as u64 + 1),
+                    update_reads,
+                    distinct.iter().map(|&o| (ObjectId(o), version)).collect(),
+                    SimTime::ZERO,
+                );
+                for &o in &distinct {
+                    installed.entry(o).or_default().push(version);
+                }
+                sgt.add_update(&record);
+                monitor.record_update_commit(&record);
+            }
+            let reads: Vec<(ObjectId, Version)> = reads
+                .into_iter()
+                .map(|(o, raw)| {
+                    let versions = installed.get(&o).map(Vec::as_slice).unwrap_or(&[]);
+                    (ObjectId(o), clamp(versions, raw))
+                })
+                .collect();
+            let slow = sgt.read_only_consistent(TxnId(9999), &reads);
+            let fast = sgt.read_only_consistent_fast(&reads);
+            prop_assert_eq!(fast, slow, "fast and rebuild oracles disagree on {:?}", &reads);
+            // The interval tier presumes a serializable update history, as
+            // the database produces; a stale update read can close a cycle
+            // among the updates themselves, and then the rebuild rejects
+            // every read set.
+            if sgt.updates_serializable() {
+                prop_assert_eq!(
+                    monitor.is_serializable(&reads),
+                    slow,
+                    "monitor and rebuild oracles disagree on {:?}",
+                    &reads
+                );
+            }
         }
     }
 }

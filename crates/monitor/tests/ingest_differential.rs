@@ -12,6 +12,12 @@
 //! stability under deferral holds exactly on that domain. (An earlier,
 //! unclamped version of this generator produced reads of future versions
 //! and correctly detected that deferral changes their verdicts.)
+//!
+//! Update transactions carry read sets as the database reports them: the
+//! version each written object had before the write (read-modify-write)
+//! and the current version of each object read but not written. These
+//! reads give the serialization graph its read→overwriter edges, so the
+//! deferred reads are also classified against those.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,8 +27,10 @@ use tcache_types::{CacheId, ObjectId, SimTime, TransactionRecord, TxnId, Version
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Commit an update writing the next version of each listed object.
-    UpdateCommit(Vec<u64>),
+    /// Commit an update writing the next version of each object in
+    /// `writes`, after reading every written object and every object in
+    /// `reads` at its current version.
+    UpdateCommit { writes: Vec<u64>, reads: Vec<u64> },
     /// An update aborted by the database (counted, no history extension).
     UpdateAbort,
     /// A completed read-only transaction.
@@ -37,11 +45,18 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        prop::collection::vec(0u64..6, 1..4).prop_map(|mut objs| {
-            objs.sort_unstable();
-            objs.dedup();
-            Op::UpdateCommit(objs)
-        }),
+        (
+            prop::collection::vec(0u64..6, 1..4),
+            prop::collection::vec(0u64..6, 0..3),
+        )
+            .prop_map(|(mut writes, mut reads)| {
+                writes.sort_unstable();
+                writes.dedup();
+                reads.sort_unstable();
+                reads.dedup();
+                reads.retain(|o| !writes.contains(o));
+                Op::UpdateCommit { writes, reads }
+            }),
         Just(Op::UpdateAbort),
         (
             (0u64..3, 0u64..2),
@@ -99,9 +114,15 @@ proptest! {
 
         for (i, op) in ops.iter().enumerate() {
             match op {
-                Op::UpdateCommit(objects) => {
+                Op::UpdateCommit { writes, reads } => {
                     next_version += 1;
-                    let writes: Vec<(ObjectId, Version)> = objects
+                    let current = |obj: u64| {
+                        let latest = installed.get(&obj).and_then(|vs| vs.last().copied());
+                        (ObjectId(obj), Version(latest.unwrap_or(0)))
+                    };
+                    let observed: Vec<(ObjectId, Version)> =
+                        writes.iter().chain(reads).map(|&obj| current(obj)).collect();
+                    let written: Vec<(ObjectId, Version)> = writes
                         .iter()
                         .map(|&obj| {
                             installed.entry(obj).or_default().push(next_version);
@@ -110,8 +131,8 @@ proptest! {
                         .collect();
                     let record = TransactionRecord::update_committed(
                         TxnId(i as u64),
-                        Vec::new(),
-                        writes,
+                        observed,
+                        written,
                         SimTime::from_micros(i as u64 + 1),
                     );
                     immediate.record_update_commit(&record);
